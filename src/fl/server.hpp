@@ -14,6 +14,7 @@
 #include "src/core/detector.hpp"
 #include "src/data/dataset.hpp"
 #include "src/fl/client.hpp"
+#include "src/fl/exchange.hpp"
 #include "src/fl/sampler.hpp"
 #include "src/fl/strategy.hpp"
 #include "src/nn/replica_pool.hpp"
@@ -180,7 +181,10 @@ class Server {
   /// run derives (or replays) exactly the streams the uninterrupted run
   /// would have. A run resumed from the file is bit-identical to one
   /// that never stopped. `version` may be 2–5 to emit the legacy
-  /// formats (compat testing).
+  /// formats (compat testing). The file is replaced atomically through
+  /// `path + ".tmp"`, so a failed or interrupted save leaves the previous
+  /// checkpoint intact. Throws in remote mode (set_transport with
+  /// remote = true), where the client state lives in the workers.
   void save_checkpoint(const std::string& path, int version = 6) const;
   /// Restore state from save_checkpoint output. Pre-v6 files load in
   /// RngMode::kLegacyStream (the only mode that existed when they were
@@ -204,7 +208,8 @@ class Server {
   /// Replace the aggregation strategy (non-null) and re-derive its
   /// local-training overrides. The chaos oracle uses this to wrap the
   /// configured strategy in a forced-buffered delegate and prove the
-  /// streaming path bit-identical; call it before the first round.
+  /// buffered aggregation bit-identical to the streaming fold; call it
+  /// before the first round.
   void set_strategy(std::unique_ptr<AggregationStrategy> strategy);
 
   AggregationStrategy& strategy() { return *strategy_; }
@@ -234,28 +239,22 @@ class Server {
   const LocalTrainConfig& effective_local() const { return effective_local_; }
 
  private:
-  /// Phase ①: downlink protocol + inference loss on a pooled replica +
-  /// scalar metadata uplink. Fills the outcome's counters and the full
-  /// simulated elapsed time of the exchange so far.
+  /// Phase ①: downlink + inference loss on a pooled replica + scalar
+  /// metadata uplink (remote mode: await the worker's metadata after
+  /// run_round's broadcast). Fills the outcome's counters and the full
+  /// simulated elapsed time of the exchange so far; no metadata = dropout.
   ParticipantOutcome run_participant_metadata(std::size_t client_index);
-  /// Phase ②: local training on a pooled replica + full-report uplink.
+  /// Phase ②: local training on a pooled replica + full-report uplink
+  /// (remote mode: await the report of a worker that trains unprompted).
   /// `counters.elapsed_s` must carry the phase-① time in (deadline spans
   /// the whole exchange); retry/CRC/stale/deadline counters accumulate
   /// into `counters`. Returns nullopt on upload failure.
   std::optional<ClientUpdate> run_participant_train(std::size_t client_index,
                                                     double inference_loss,
                                                     ParticipantOutcome& counters);
-  /// Remote-mode phase ①: the downlink was already broadcast by
-  /// run_round; await this participant's metadata uplink, answering
-  /// worker NACKs with downlink retransmissions. No metadata in the
-  /// returned outcome = dropout (peer closed, hang timeout, or
-  /// deadline).
-  ParticipantOutcome remote_participant_metadata(std::size_t client_index);
-  /// Remote-mode phase ②: await the participant's full report (the
-  /// worker trains unprompted after the downlink). nullopt = upload
-  /// failure.
-  std::optional<ClientUpdate> remote_participant_train(std::size_t client_index,
-                                                       ParticipantOutcome& counters);
+  /// False (and `counters.deadline_missed` set) once the exchange ran
+  /// past uplink_deadline_s.
+  bool within_deadline(ParticipantOutcome& counters) const;
   /// (Re)build the replica pool sized to the active thread pool.
   void ensure_replica_pool();
   ThreadPool& pool() const;
@@ -290,6 +289,8 @@ class Server {
   /// thread pool (+1 for the inline caller), so a round's model memory
   /// is O(K × model) independent of cohort size (DESIGN.md §11).
   std::unique_ptr<nn::ReplicaPool> replica_pool_;
+  /// The run's codec and accept rules (quant mode, model size).
+  Exchange exchange_;
   /// This round's encoded downlink (global model) — kept for NACK
   /// retransmissions so retries don't re-serialize the weights.
   comm::Envelope downlink_env_;

@@ -9,6 +9,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "src/comm/network.hpp"
 #include "src/fl/simulation.hpp"
@@ -344,6 +349,41 @@ TEST(CheckpointResume, RejectsTrailingBytes) {
   }
   fl::Simulation fresh = fl::build_simulation(config);
   EXPECT_THROW(fresh.server->load_checkpoint(path), Error);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, FailedSaveKeepsPreviousCheckpoint) {
+  set_log_level(LogLevel::kError);
+  fl::SimulationConfig config = small_config();
+  fl::Simulation sim = fl::build_simulation(config);
+  sim.server->run(2);
+  const std::string path = temp_path("fedcav_atomic_ckpt.bin");
+  sim.server->save_checkpoint(path);
+  const nn::Weights saved = sim.server->global_weights();
+  std::string saved_bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    saved_bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+
+  // The save goes through `path + ".tmp"`: a directory squatting there
+  // makes the next save fail before the previous file is touched.
+  const std::string tmp = path + ".tmp";
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+  sim.server->run(1);
+  EXPECT_THROW(sim.server->save_checkpoint(path), Error);
+  ::rmdir(tmp.c_str());
+
+  std::string bytes_after;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes_after.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  EXPECT_EQ(bytes_after, saved_bytes);
+  fl::Simulation resumed = fl::build_simulation(config);
+  resumed.server->load_checkpoint(path);
+  EXPECT_EQ(resumed.server->current_round(), 2u);
+  EXPECT_EQ(resumed.server->global_weights(), saved);
   std::remove(path.c_str());
 }
 

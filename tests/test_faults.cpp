@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -208,7 +209,8 @@ class ForwardingTransport final : public comm::Transport {
 
  private:
   comm::Transport* inner_;
-  std::uint64_t forwarded_ = 0;
+  // Pool threads run participants' exchanges concurrently.
+  std::atomic<std::uint64_t> forwarded_{0};
 };
 
 TEST(Chaos, TransportShimIsBitIdenticalToDirectFabric) {

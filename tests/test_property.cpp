@@ -193,6 +193,12 @@ struct PartitionCase {
   std::uint64_t seed;
 };
 
+// The default printer dumps the struct's bytes, padding included, so the
+// test names (which embed the printed value) would change between builds.
+void PrintTo(const PartitionCase& c, std::ostream* os) {
+  *os << data::to_string(c.scheme) << "_" << c.num_clients << "clients_seed" << c.seed;
+}
+
 class PartitionProperty : public ::testing::TestWithParam<PartitionCase> {};
 
 TEST_P(PartitionProperty, EveryClientNonEmptyAndIndicesValid) {

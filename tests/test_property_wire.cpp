@@ -17,6 +17,8 @@
 
 #include "src/comm/compression.hpp"
 #include "src/comm/message.hpp"
+#include "src/comm/network.hpp"
+#include "src/fl/exchange.hpp"
 #include "src/tensor/serialize.hpp"
 #include "src/utils/error.hpp"
 #include "property.hpp"
@@ -284,6 +286,91 @@ TEST(PropertyWire, QuantizedDeltaBitFlipDecodesSafely) {
     } catch (const Error&) {
       // rejected cleanly
     }
+  });
+}
+
+// The same bit-flip fuzz one level up, through the accept filters of
+// the participant exchange (src/fl/exchange.*): every downlink,
+// metadata and report kind, dense and quantized, re-framed under a
+// fresh CRC so the malformed payload reaches the structural decode. A
+// truncated or extended payload must be rejected as stale and counted
+// by fl::deliver; a flipped bit must never throw, and whatever
+// it accepts must still carry exactly `dim` weights.
+TEST(PropertyWire, AcceptFiltersRejectMalformedPayloadsCleanly) {
+  FEDCAV_PROPERTY("accept filter malformed-payload fuzz", 1000, [](Rng& rng) {
+    const std::size_t dim =
+        1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{64}));
+    const comm::QuantMode modes[] = {comm::QuantMode::kNone, comm::QuantMode::kFp16,
+                                     comm::QuantMode::kInt8};
+    const comm::QuantMode mode = modes[rng.uniform_int(std::uint64_t{3})];
+    const fl::Exchange exchange(mode, 1.0, dim);
+    const bool quant = mode != comm::QuantMode::kNone;
+    std::vector<float> weights(dim);
+    for (float& v : weights) v = rng.uniform_f(-2.0f, 2.0f);
+    const std::vector<float> reference(dim, 0.5f);
+    constexpr std::uint64_t kRound = 5;
+    constexpr std::size_t kClient = 3;
+
+    Envelope env;
+    const auto kind = rng.uniform_int(std::uint64_t{3});
+    if (kind == 0 && quant) {
+      const comm::QuantGlobalModelMsg down{kRound, comm::quantize(weights, mode)};
+      env = Envelope{MessageType::kQuantGlobalModel, down.encode()};
+    } else if (kind == 0) {
+      env = Envelope{MessageType::kGlobalModel,
+                     comm::GlobalModelMsg{kRound, weights}.encode()};
+    } else if (kind == 1) {
+      env = Envelope{MessageType::kMetadataReport,
+                     comm::MetadataMsg{kRound, kClient, 40, 0.75}.encode()};
+    } else if (quant) {
+      const comm::QuantReportMsg up{kRound, kClient, 40, 0.75,
+                                    comm::quantize(weights, mode, 0.5)};
+      env = Envelope{MessageType::kQuantReport, up.encode()};
+    } else {
+      const comm::ClientReportMsg up{kRound, kClient, 40, 0.75, weights};
+      env = Envelope{MessageType::kClientReport, up.encode()};
+    }
+    const auto mutation = rng.uniform_int(std::uint64_t{3});
+    ByteBuffer& payload = env.payload;
+    if (mutation == 0) {
+      payload.resize(static_cast<std::size_t>(rng.uniform_int(payload.size())));
+    } else if (mutation == 1) {
+      const ByteBuffer extra = gen_bytes(rng, 8);
+      payload.insert(payload.end(), extra.begin(), extra.end());
+      payload.push_back(0);
+    } else {
+      const std::size_t byte = static_cast<std::size_t>(rng.uniform_int(payload.size()));
+      payload[byte] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(std::uint64_t{8}));
+    }
+
+    fl::Downlink down;
+    fl::ClientUpdate update;
+    const auto accept = [&](const ByteBuffer& wire) {
+      if (kind == 0) return exchange.accept_downlink(wire, kRound, down);
+      if (kind == 1) return fl::Exchange::accept_metadata(wire, kRound, kClient, update);
+      return exchange.accept_report(wire, kRound, kClient, reference, update);
+    };
+    fl::Verdict verdict = fl::Verdict::kCorrupt;
+    ASSERT_NO_THROW(verdict = accept(env.encode()));
+    ASSERT_NE(verdict, fl::Verdict::kCorrupt);  // the CRC is fresh
+    if (mutation < 2) {
+      EXPECT_EQ(verdict, fl::Verdict::kStale)
+          << "kind " << kind << " mutation " << mutation;
+    } else if (verdict == fl::Verdict::kAccepted && kind != 1) {
+      EXPECT_EQ((kind == 0 ? down.weights : update.weights).size(), dim);
+    }
+
+    // Through fl::deliver on a simulated fabric: every rejected attempt is a
+    // counted stale discard, never a CRC failure or an exception.
+    comm::InMemoryNetwork fabric(comm::NetworkConfig{});
+    fl::ParticipantOutcome counters;
+    bool delivered = false;
+    ASSERT_NO_THROW(delivered = fl::deliver(fabric, kind == 0 ? 0 : 1, kind == 0 ? 1 : 0,
+                                            env, kRound, /*max_retries=*/1, 0.0,
+                                            counters, accept));
+    EXPECT_EQ(delivered, verdict == fl::Verdict::kAccepted);
+    EXPECT_EQ(counters.crc_failures, 0u);
+    EXPECT_EQ(counters.stale_discards, delivered ? 0u : 2u);
   });
 }
 

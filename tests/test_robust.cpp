@@ -184,6 +184,46 @@ TEST(Straggler, DropReducesParticipantsButTrainingContinues) {
   EXPECT_GT(sim.server->history().best_accuracy(), 0.3);
 }
 
+// The one semantics change of the streaming-only round path: a
+// non-streaming rule now shares the streaming flow, so a reversed round
+// trains no one after detection (the old materializing flow trained
+// every survivor first, advancing each client's batch RNG for nothing).
+TEST(CoordinateMedian, ReversedRoundLeavesNonVictimClientsUntrained) {
+  set_log_level(LogLevel::kError);
+  SimulationConfig config;
+  config.dataset = "digits";
+  config.model = "mlp";
+  config.strategy = "median";
+  config.train_samples_per_class = 12;
+  config.test_samples_per_class = 8;
+  config.partition.num_clients = 4;
+  config.server.sample_ratio = 1.0;
+  config.server.local.epochs = 1;
+  config.server.detection_enabled = true;
+  config.server.detector.vote_fraction = 0.25;  // the victim's vote suffices
+  config.attack = "lossinflation";
+  config.attack_rounds = {3};
+  Simulation sim = build_simulation(config);
+  sim.server->run(2);
+
+  const auto client_state = [&](std::size_t i) {
+    ByteBuffer buf;
+    sim.server->client_at(i).save_state(buf);
+    return buf;
+  };
+  std::vector<ByteBuffer> before;
+  for (std::size_t i = 0; i < 4; ++i) before.push_back(client_state(i));
+
+  const auto record = sim.server->run_round();
+  ASSERT_TRUE(record.attacked);
+  ASSERT_TRUE(record.detection_fired) << "loss inflation did not trip the detector";
+  ASSERT_TRUE(record.reversed);
+  // Slot 0 is the victim, trained before detection; no one else trained.
+  std::size_t advanced = 0;
+  for (std::size_t i = 0; i < 4; ++i) advanced += client_state(i) != before[i];
+  EXPECT_EQ(advanced, 1u);
+}
+
 TEST(Straggler, ZeroProbabilityKeepsFullCohort) {
   set_log_level(LogLevel::kError);
   SimulationConfig config;

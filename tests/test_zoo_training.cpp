@@ -57,6 +57,10 @@ struct ZooCase {
   std::size_t epochs;
 };
 
+// The default printer dumps the struct's bytes, string pointers included,
+// so the test names (which embed the printed value) would change per build.
+void PrintTo(const ZooCase& c, std::ostream* os) { *os << c.model << "_" << c.dataset; }
+
 class ZooTraining : public ::testing::TestWithParam<ZooCase> {};
 
 TEST_P(ZooTraining, CentralizedLossShrinksOnItsDataset) {

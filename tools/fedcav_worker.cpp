@@ -27,6 +27,7 @@
 
 #include "src/comm/socket_transport.hpp"
 #include "src/comm/tcp_transport.hpp"
+#include "src/fl/exchange.hpp"
 #include "src/fl/simulation.hpp"
 #include "src/nn/zoo.hpp"
 #include "src/utils/cli.hpp"
@@ -80,10 +81,8 @@ int main(int argc, char** argv) {
     Rng model_rng(config.seed ^ 0xabcdef12345ULL);
     std::unique_ptr<nn::Model> model = nn::model_builder(config.model)(model_rng);
 
-    const bool quant_on = config.server.quant != comm::QuantMode::kNone;
-    const comm::MessageType down_type =
-        quant_on ? comm::MessageType::kQuantGlobalModel
-                 : comm::MessageType::kGlobalModel;
+    const fl::Exchange exchange(config.server.quant, config.server.quant_keep,
+                                model->num_params());
     const std::size_t exit_before =
         static_cast<std::size_t>(cli.get_int("exit-before-round"));
     const std::size_t exit_after_meta =
@@ -92,6 +91,9 @@ int main(int argc, char** argv) {
     std::size_t last_round = 0;
     comm::Envelope meta_env;    // cached for NACK retransmission
     comm::Envelope report_env;  // ditto
+    const auto resend = [&](const comm::Envelope& env) {
+      if (!env.payload.empty()) transport->send(rank, kServerRank, env);
+    };
 
     for (;;) {
       std::optional<ByteBuffer> wire = transport->try_recv_wire(rank, kServerRank);
@@ -100,53 +102,35 @@ int main(int argc, char** argv) {
         transport->poll(0.1);
         continue;
       }
-      std::optional<comm::Envelope> env = comm::Envelope::try_decode(*wire);
-      if (!env.has_value()) {
-        // Damaged frame: ask for a downlink retransmit (the only thing
-        // the daemon ever sends us besides NACKs).
-        comm::NackMsg nack;
-        nack.round = last_round + 1;
-        nack.expected = down_type;
-        transport->send(rank, kServerRank,
-                        comm::Envelope{comm::MessageType::kNack, nack.encode()});
-        continue;
+      fl::Downlink down;
+      comm::NackMsg nack;
+      switch (exchange.accept_downlink(*wire, std::nullopt, down, &nack)) {
+        case fl::Verdict::kCorrupt:
+          // Damaged frame: ask for a downlink retransmit (the only thing
+          // the daemon ever sends us besides NACKs).
+          transport->send(rank, kServerRank,
+                          fl::Exchange::encode_nack(last_round + 1,
+                                                    exchange.downlink_type()));
+          continue;
+        case fl::Verdict::kNack:
+          resend(nack.expected == comm::MessageType::kMetadataReport &&
+                         !meta_env.payload.empty()
+                     ? meta_env
+                     : report_env);
+          continue;
+        case fl::Verdict::kStale:
+          continue;  // unexpected or malformed: drop
+        case fl::Verdict::kAccepted:
+          break;
       }
-      if (env->type == comm::MessageType::kNack) {
-        ByteReader reader(env->payload);
-        const comm::NackMsg nack = comm::NackMsg::decode(reader);
-        if (nack.expected == comm::MessageType::kMetadataReport &&
-            !meta_env.payload.empty()) {
-          transport->send(rank, kServerRank, meta_env);
-        } else if (!report_env.payload.empty()) {
-          transport->send(rank, kServerRank, report_env);
-        }
-        continue;
-      }
-      if (env->type != down_type) continue;  // stale / unexpected: drop
-
-      ByteReader reader(env->payload);
-      std::size_t round = 0;
-      std::vector<float> weights;
-      if (quant_on) {
-        comm::QuantGlobalModelMsg msg = comm::QuantGlobalModelMsg::decode(reader);
-        round = msg.round;
-        weights = comm::dequantize(msg.model);
-      } else {
-        comm::GlobalModelMsg msg = comm::GlobalModelMsg::decode(reader);
-        round = msg.round;
-        weights = std::move(msg.weights);
-      }
+      const std::size_t round = down.round;
       if (round == last_round) {
         // Duplicate downlink (daemon-side retransmit raced our uplink):
         // resend the cached envelopes instead of training again, so the
         // client RNG stream and quant residual advance exactly once per
         // round no matter how lossy the exchange was.
-        if (!meta_env.payload.empty()) {
-          transport->send(rank, kServerRank, meta_env);
-        }
-        if (!report_env.payload.empty()) {
-          transport->send(rank, kServerRank, report_env);
-        }
+        resend(meta_env);
+        resend(report_env);
         continue;
       }
       last_round = round;
@@ -155,14 +139,8 @@ int main(int argc, char** argv) {
         ::_exit(0);  // vanish before any uplink → phase-① dropout
       }
 
-      const double f_i = client.compute_inference_loss(*model, weights);
-      comm::MetadataMsg meta;
-      meta.round = round;
-      meta.client_id = client.id();
-      meta.num_samples = client.num_samples();
-      meta.inference_loss = f_i;
-      meta_env =
-          comm::Envelope{comm::MessageType::kMetadataReport, meta.encode()};
+      const double f_i = client.compute_inference_loss(*model, down.weights);
+      meta_env = fl::Exchange::encode_metadata(round, client, f_i);
       report_env = comm::Envelope{};  // stale report must not answer NACKs
       transport->send(rank, kServerRank, meta_env);
 
@@ -187,27 +165,9 @@ int main(int argc, char** argv) {
         client.reseed_for_round(config.seed, round);
       }
 
-      fl::ClientUpdate update = client.train_update(*model, weights, local, f_i);
-      if (quant_on) {
-        comm::QuantReportMsg up;
-        up.round = round;
-        up.client_id = client.id();
-        up.num_samples = update.num_samples;
-        up.inference_loss = update.inference_loss;
-        up.delta = client.encode_quantized_update(
-            update.weights, weights, config.server.quant,
-            config.server.quant_keep);
-        report_env = comm::Envelope{comm::MessageType::kQuantReport, up.encode()};
-      } else {
-        comm::ClientReportMsg up;
-        up.round = round;
-        up.client_id = client.id();
-        up.num_samples = update.num_samples;
-        up.inference_loss = update.inference_loss;
-        up.weights = std::move(update.weights);
-        report_env =
-            comm::Envelope{comm::MessageType::kClientReport, up.encode()};
-      }
+      const fl::ClientUpdate update =
+          client.train_update(*model, down.weights, local, f_i);
+      report_env = exchange.encode_report(round, client, update, down.weights);
       transport->send(rank, kServerRank, report_env);
     }
   } catch (const std::exception& e) {
