@@ -5,11 +5,12 @@
 # suites (thread pool, obs tracer/registry, server rounds, and the
 # fault-injection chaos/golden suites — the retry protocol runs on pool
 # threads, so TSan coverage there is mandatory). The plain build also
-# replays the kernel + golden suites under FEDCAV_TEST_THREADS=1 and =4
-# (parallel-kernel determinism gate, DESIGN.md §13) and under
-# FEDCAV_TEST_SHARDS=1 and =4 (shard-determinism gate, DESIGN.md §15);
-# the TSan build replays both hooks at the 4-way fan-out. Each
-# configuration gets its own build tree so they never thrash one cache.
+# replays the kernel, golden and round suites under FEDCAV_TEST_SHARDS=1
+# and =4 (shard-determinism gate, DESIGN.md §15); the TSan build replays
+# them at the 4-shard fan-out. The tensor/nn kernels are serial (the
+# round pool is the only parallelism, DESIGN.md §13), so there is no
+# kernel-thread replay. Each configuration gets its own build tree so
+# they never thrash one cache.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -36,22 +37,12 @@ run_config() {
 ctest_args=("$@")
 
 run_config "${repo}/build" ""
-# Parallel-kernel determinism gate (DESIGN.md §13): replay the kernel +
-# golden suites with the FEDCAV_TEST_THREADS hook attaching a 1-worker
-# and a 4-worker kernel pool. The goldens pin exact accuracy/loss, so a
-# pass here proves the kernels are bit-identical at every fan-out.
-kernel_filter="Gemm|GemmCrossCheck|Conv2D|ConvBatched|Activation|MaxPool|AvgPool|GlobalAvgPool|Loss|GradCheck|Evaluate|ZooTraining|GoldenRun"
-for threads in 1 4; do
-  echo "==> ctest kernel suites, FEDCAV_TEST_THREADS=${threads} (plain)"
-  FEDCAV_TEST_THREADS="${threads}" ctest --test-dir "${repo}/build" \
-    --output-on-failure -j "${jobs}" -R "${kernel_filter}" "${ctest_args[@]}"
-done
 # Shard-determinism gate (DESIGN.md §15): replay the golden, chaos-seed,
 # and kernel suites with the FEDCAV_TEST_SHARDS hook forcing every round
 # through a 1-shard and a 4-shard engine. The goldens and committed
 # chaos seeds pin exact values, so a pass proves the shard count is
 # invisible to results at suite scale.
-shard_filter="${kernel_filter}|ChaosSeeds|RoundEngine|Server|Integration"
+shard_filter="Gemm|GemmCrossCheck|Conv2D|ConvBatched|Activation|MaxPool|AvgPool|GlobalAvgPool|Loss|GradCheck|Evaluate|ZooTraining|GoldenRun|ChaosSeeds|RoundEngine|Server|Integration"
 for shards in 1 4; do
   echo "==> ctest shard suites, FEDCAV_TEST_SHARDS=${shards} (plain)"
   FEDCAV_TEST_SHARDS="${shards}" ctest --test-dir "${repo}/build" \
@@ -101,12 +92,6 @@ timeout 600 "${repo}/scripts/multiproc_smoke.sh" "${repo}/build-sanitize" 2 2 tc
 run_config "${repo}/build-tsan" \
   "ThreadPool|Obs|CheckpointResume|Server|Integration|Chaos|Faults|GoldenRun" \
   -DFEDCAV_SANITIZE=thread
-# Race-check the parallel kernels themselves: the same kernel suites the
-# plain build replays, but under TSan with a 4-worker kernel pool
-# attached via the FEDCAV_TEST_THREADS hook.
-echo "==> ctest kernel suites, FEDCAV_TEST_THREADS=4 (tsan)"
-FEDCAV_TEST_THREADS=4 ctest --test-dir "${repo}/build-tsan" \
-  --output-on-failure -j "${jobs}" -R "${kernel_filter}" "${ctest_args[@]}"
 # Race-check the sharded round engine: the wave pipeline's produce side
 # runs on pool workers while the fold side hops threads, so the golden,
 # chaos-seed, and server suites replay under TSan at a 4-shard fan-out.

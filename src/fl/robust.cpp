@@ -145,6 +145,14 @@ nn::Weights Krum::aggregate(const nn::Weights& global,
 
 std::vector<double> Krum::aggregation_weights(
     const std::vector<ClientUpdate>& updates) const {
+  require_updates(updates, "Krum");
+  // Weightless metadata (the server's γ estimate for an attack round)
+  // gives the selection nothing to measure: every distance would be zero
+  // and slot 0 would always win. Report the uniform prior instead.
+  const bool weightless = std::any_of(
+      updates.begin(), updates.end(),
+      [](const ClientUpdate& u) { return u.weights.empty(); });
+  if (weightless) return uniform_weights(updates.size());
   std::vector<double> weights(updates.size(), 0.0);
   weights[select(updates)] = 1.0;
   return weights;

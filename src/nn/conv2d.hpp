@@ -69,8 +69,8 @@ class Conv2D : public Layer {
   // each image on the fly.
   enum Slot : std::size_t {
     kCols = 0, kGemmOut, kOut, kGmat, kDcols, kDx,
-    kPadIn,  // direct path: zero-padded input planes for one image
-    kPadG,   // direct path: transpose-padded gradient planes for one image
+    kPadIn,  // padded input: one image (forward), the batch (direct backward)
+    kPadG,   // padded gradient: one image (fused), the batch (direct backward)
     kPairOut,  // pair path: 16-wide kernel output before de-interleaving
   };
 
@@ -84,12 +84,9 @@ class Conv2D : public Layer {
   bool has_cols_ = false;  // the last training forward's lowering state is live
   Tensor cached_in_;    // per-image path: input copy for backward re-lowering
   Workspace ws_;
-  // Per-chunk scratch for the batch fan-outs (padded planes, per-image
-  // column matrices, dW slice partials); slot 0 doubles as the serial
-  // path's scratch, so single-thread runs pay nothing extra.
-  WorkspaceArena arena_;
   ops::PackedA packed_w_;   // scratch for the forward weight packing
   ops::PackedA packed_wt_;  // scratch for the backward Wᵀ packing
+  ops::PackedA packed_g_;   // scratch for the per-image dW GEMM's g_b packing
 };
 
 }  // namespace fedcav::nn

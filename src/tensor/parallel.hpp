@@ -1,49 +1,19 @@
-// Intra-op kernel parallelism plumbing.
-//
-// The tensor/nn kernels (GEMM macro-tiles, Conv2D batch slabs, the
-// elementwise/pool/softmax tails) consult one process-wide, non-owning
-// ThreadPool pointer. Null (the default) keeps every kernel on the
-// single-thread path, so library users who never call set_kernel_pool()
-// see exactly the behavior this repo always had.
-//
-// Determinism contract (DESIGN.md §13): kernels may only use
-// parallel_chunks() in two ways.
-//  * Disjoint outputs — each chunk writes its own output range and no
-//    chunk reads another's. Any chunk count gives bit-identical results,
-//    so chunks may (and do) scale with the worker count.
-//  * Fixed-slot reductions — the chunk count and boundaries are a pure
-//    function of the problem SHAPE (never of the worker count), each
-//    chunk accumulates into its own slot, and the caller folds the slots
-//    in ascending chunk order. Results are then bit-identical at any
-//    worker count, including 1.
+// Kernel parallelism: there is none. Every tensor/nn kernel runs
+// serially on its calling thread; parallelism lives in one place, the
+// round-level ThreadPool that fans out clients, evaluation batches and
+// aggregation shards (DESIGN.md §13). A LeNet-scale client step is too
+// small to split further without the fork/join costing more than it
+// saves.
 #pragma once
 
-#include <cstddef>
-#include <functional>
-
-#include "src/utils/threadpool.hpp"
+namespace fedcav {
+class ThreadPool;
+}  // namespace fedcav
 
 namespace fedcav::ops {
 
-/// Attach (or detach, with nullptr) the pool the kernels fan out on.
-/// Non-owning; the pool must outlive the attachment. Typically set once
-/// at startup (quickstart --threads, bench --threads) or around a test.
-void set_kernel_pool(ThreadPool* pool);
-ThreadPool* kernel_pool();
-
-/// How many ways a kernel can usefully fan out right now: the kernel
-/// pool's worker count, or 1 when no pool is attached or the caller is
-/// already running on one of its workers (nested kernel parallelism runs
-/// inline — the federated round already owns the pool's threads).
-std::size_t kernel_ways();
-
-/// Run body(begin, end, chunk) over contiguous sub-ranges of [0, n),
-/// splitting into at most `chunks` pieces (dense chunk ids, ascending
-/// ranges). The ranges depend only on n and `chunks`; with kernel_ways()
-/// == 1 the chunks run inline in ascending order, which is the same
-/// schedule a 1-worker pool would produce.
-void parallel_chunks(std::size_t n, std::size_t chunks,
-                     const std::function<void(std::size_t, std::size_t,
-                                              std::size_t)>& body);
+/// No-op, kept for source compatibility with callers that used to attach
+/// an intra-op kernel pool: kernels ignore `pool` and stay serial.
+inline void set_kernel_pool(ThreadPool* /*pool*/) {}
 
 }  // namespace fedcav::ops

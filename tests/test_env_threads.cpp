@@ -1,55 +1,19 @@
-// FEDCAV_TEST_THREADS / FEDCAV_TEST_SHARDS hooks, compiled into every
-// test binary.
+// FEDCAV_TEST_SHARDS hook, compiled into every test binary.
 //
-// When FEDCAV_TEST_THREADS is set to N > 0, a global gtest Environment
-// attaches an N-worker kernel ThreadPool before any test runs
-// (ops::set_kernel_pool, DESIGN.md §13). The determinism contract says
-// every kernel must produce bit-identical results at any worker count,
-// so the whole suite — goldens included — must pass unchanged under
-// FEDCAV_TEST_THREADS=1 and =4; scripts/check.sh enforces both, and the
-// TSan configuration reuses the same hook to race-check the parallel
-// kernels.
-//
-// FEDCAV_TEST_SHARDS=S does the same for the sharded round engine
-// (DESIGN.md §15): it raises the process default shard count, so every
-// Server round in the suite — goldens and chaos seeds included — runs
-// S-sharded. The §15 contract says shard count is invisible to results,
-// so the whole suite must pass unchanged under =1 and =4; check.sh
-// replays the golden + chaos-seed suites under both.
+// FEDCAV_TEST_SHARDS=S raises the sharded round engine's process default
+// shard count (DESIGN.md §15), so every Server round in the suite —
+// goldens and chaos seeds included — runs S-sharded. The §15 contract
+// says shard count is invisible to results, so the whole suite must
+// pass unchanged under =1 and =4; scripts/check.sh replays the golden +
+// chaos-seed suites under both.
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "src/fl/round_engine.hpp"
-#include "src/tensor/parallel.hpp"
-#include "src/utils/threadpool.hpp"
 
 namespace {
-
-class KernelPoolEnvironment : public ::testing::Environment {
- public:
-  void SetUp() override {
-    const char* value = std::getenv("FEDCAV_TEST_THREADS");
-    if (value == nullptr) return;
-    const int workers = std::atoi(value);
-    if (workers <= 0) return;
-    pool_ = std::make_unique<fedcav::ThreadPool>(
-        static_cast<std::size_t>(workers));
-    fedcav::ops::set_kernel_pool(pool_.get());
-    std::printf("[FEDCAV_TEST_THREADS] kernel pool attached: %d worker%s\n",
-                workers, workers == 1 ? "" : "s");
-  }
-
-  void TearDown() override {
-    fedcav::ops::set_kernel_pool(nullptr);
-    pool_.reset();
-  }
-
- private:
-  std::unique_ptr<fedcav::ThreadPool> pool_;
-};
 
 class RoundShardsEnvironment : public ::testing::Environment {
  public:
@@ -66,9 +30,7 @@ class RoundShardsEnvironment : public ::testing::Environment {
   void TearDown() override { fedcav::fl::set_default_round_shards(0); }
 };
 
-// Registration happens at static-init time; gtest owns the Environments.
-const ::testing::Environment* const kKernelPoolEnvironment =
-    ::testing::AddGlobalTestEnvironment(new KernelPoolEnvironment);
+// Registration happens at static-init time; gtest owns the Environment.
 const ::testing::Environment* const kRoundShardsEnvironment =
     ::testing::AddGlobalTestEnvironment(new RoundShardsEnvironment);
 

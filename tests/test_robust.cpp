@@ -119,6 +119,17 @@ TEST(Krum, AggregationWeightsAreOneHot) {
   EXPECT_EQ(ones, 1);
 }
 
+TEST(Krum, AggregationWeightsOnWeightlessMetadataAreUniform) {
+  // The server estimates an attack round's γ from metadata that carries
+  // no weight vectors; Krum then has nothing to select on.
+  Krum strategy(1);
+  std::vector<ClientUpdate> metadata;
+  for (std::size_t i = 0; i < 6; ++i) metadata.push_back(update_of(i, {}));
+  const auto weights = strategy.aggregation_weights(metadata);
+  ASSERT_EQ(weights.size(), 6u);
+  for (double w : weights) EXPECT_DOUBLE_EQ(w, 1.0 / 6.0);
+}
+
 TEST(Krum, SingleUpdateIsReturned) {
   Krum strategy(1);
   std::vector<ClientUpdate> updates;
