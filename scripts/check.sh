@@ -2,9 +2,10 @@
 # Tier-1 gate, run from anywhere: configure + build + ctest, first in the
 # default configuration, then with FEDCAV_SANITIZE=ON (ASan+UBSan), and
 # finally with FEDCAV_SANITIZE=thread (TSan) over the concurrency-heavy
-# suites (thread pool, obs tracer/registry, server rounds, and the
+# suites (thread pool, obs tracer/registry, server rounds, the
 # fault-injection chaos/golden suites — the retry protocol runs on pool
-# threads, so TSan coverage there is mandatory). The plain build also
+# threads, so TSan coverage there is mandatory — and the comm fabric,
+# whose sends copy caller-encoded images from several threads). The plain build also
 # replays the kernel, golden and round suites under FEDCAV_TEST_SHARDS=1
 # and =4 (shard-determinism gate, DESIGN.md §15); the TSan build replays
 # them at the 4-shard fan-out. The tensor/nn kernels are serial (the
@@ -90,7 +91,7 @@ echo "==> multiproc smoke, tcp (sanitize)"
 timeout 600 "${repo}/scripts/multiproc_smoke.sh" "${repo}/build-sanitize" 2 2 tcp
 
 run_config "${repo}/build-tsan" \
-  "ThreadPool|Obs|CheckpointResume|Server|Integration|Chaos|Faults|GoldenRun" \
+  "ThreadPool|Obs|CheckpointResume|Server|Integration|Chaos|Faults|GoldenRun|Network|Transport|Crc32" \
   -DFEDCAV_SANITIZE=thread
 # Race-check the sharded round engine: the wave pipeline's produce side
 # runs on pool workers while the fold side hops threads, so the golden,

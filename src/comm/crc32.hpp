@@ -2,9 +2,12 @@
 //
 // The comm fabric appends this checksum to every Envelope so receivers
 // can reject payloads the fault-injecting network corrupted or
-// truncated in flight, before any structural decode runs. Table-driven,
-// one table shared process-wide; incremental form exposed so framing
-// code can checksum header + payload without concatenating them.
+// truncated in flight, before any structural decode runs. Slicing-by-16:
+// sixteen constexpr 256-entry tables (16 KiB, shared process-wide) fold
+// 16 bytes per step with independent lookups, then a bytewise tail —
+// portable C++, same values as the one-table bytewise loop. The
+// incremental form lets framing code checksum header + payload without
+// concatenating them.
 #pragma once
 
 #include <cstdint>

@@ -126,18 +126,29 @@ NackMsg NackMsg::decode(ByteReader& reader) {
 }
 
 namespace {
+
 constexpr std::size_t kEnvelopeFraming = sizeof(std::uint64_t) + sizeof(std::uint32_t);
+
+/// Little-endian u64 type tag at the front of an image of at least
+/// kEnvelopeFraming bytes.
+std::uint64_t read_tag(const ByteBuffer& wire) {
+  std::uint64_t t = 0;
+  for (int i = 0; i < 8; ++i) t |= static_cast<std::uint64_t>(wire[i]) << (8 * i);
+  return t;
 }
+
+}  // namespace
 
 ByteBuffer Envelope::encode() const {
   ByteBuffer buf;
+  buf.reserve(wire_size());
   write_u64(buf, static_cast<std::uint64_t>(type));
   buf.insert(buf.end(), payload.begin(), payload.end());
   write_u32(buf, crc32({buf.data(), buf.size()}));
   return buf;
 }
 
-std::optional<Envelope> Envelope::try_decode(const ByteBuffer& wire) {
+std::optional<EnvelopeView> Envelope::try_view(const ByteBuffer& wire) {
   if (wire.size() < kEnvelopeFraming) return std::nullopt;
   const std::size_t body = wire.size() - sizeof(std::uint32_t);
   const std::uint32_t expected = crc32({wire.data(), body});
@@ -146,13 +157,21 @@ std::optional<Envelope> Envelope::try_decode(const ByteBuffer& wire) {
     stored |= static_cast<std::uint32_t>(wire[body + i]) << (8 * i);
   }
   if (stored != expected) return std::nullopt;
-  std::uint64_t t = 0;
-  for (int i = 0; i < 8; ++i) t |= static_cast<std::uint64_t>(wire[i]) << (8 * i);
+  const std::uint64_t t = read_tag(wire);
   if (t < 1 || t > 7) return std::nullopt;
-  Envelope env;
-  env.type = static_cast<MessageType>(t);
-  env.payload.assign(wire.begin() + sizeof(std::uint64_t), wire.begin() + body);
-  return env;
+  return EnvelopeView{static_cast<MessageType>(t),
+                      {wire.data() + sizeof(std::uint64_t), body - sizeof(std::uint64_t)}};
+}
+
+std::optional<Envelope> Envelope::try_decode(const ByteBuffer& wire) {
+  const std::optional<EnvelopeView> view = try_view(wire);
+  if (!view.has_value()) return std::nullopt;
+  return Envelope{view->type, ByteBuffer(view->payload.begin(), view->payload.end())};
+}
+
+MessageType Envelope::type_of(const ByteBuffer& wire) {
+  FEDCAV_REQUIRE(wire.size() >= kEnvelopeFraming, "Envelope::type_of: short wire image");
+  return static_cast<MessageType>(read_tag(wire));
 }
 
 Envelope Envelope::decode(const ByteBuffer& wire) {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,13 @@ struct NackMsg {
   static NackMsg decode(ByteReader& reader);
 };
 
+/// A wire image whose CRC and type tag checked out, seen in place: the
+/// payload aliases the image and is valid only as long as it is.
+struct EnvelopeView {
+  MessageType type;
+  std::span<const std::uint8_t> payload;
+};
+
 /// Envelope: type tag + payload + CRC-32 of (tag || payload), as
 /// transmitted. The trailing checksum lets receivers reject in-flight
 /// corruption or truncation before any structural decode runs.
@@ -147,6 +155,11 @@ struct Envelope {
   /// throwing. A payload is only handed to Message decode after the CRC
   /// proves it arrived intact.
   static std::optional<Envelope> try_decode(const ByteBuffer& wire);
+  /// try_decode without copying the payload out of `wire`.
+  static std::optional<EnvelopeView> try_view(const ByteBuffer& wire);
+  /// The type tag of an image this process encoded itself (its first 8
+  /// bytes; no CRC check). Throws on an image shorter than the framing.
+  static MessageType type_of(const ByteBuffer& wire);
   std::size_t wire_size() const {
     return payload.size() + sizeof(std::uint64_t) + sizeof(std::uint32_t);
   }

@@ -65,12 +65,15 @@ void InMemoryNetwork::enqueue(std::size_t src, std::size_t dst, ByteBuffer wire,
   inbox.push_back(Queued{src, std::move(wire)});
 }
 
-void InMemoryNetwork::send(std::size_t src, std::size_t dst, const Envelope& env) {
+void InMemoryNetwork::send(std::size_t src, std::size_t dst, const ByteBuffer& image) {
   FEDCAV_REQUIRE(src < config_.num_endpoints && dst < config_.num_endpoints,
                  "InMemoryNetwork::send: endpoint out of range");
   FEDCAV_REQUIRE(src != dst, "InMemoryNetwork::send: self-send");
+  // The fabric owns its copy (faults mutate it in place); making it
+  // before taking the lock keeps concurrent senders from serializing on
+  // the memcpy.
+  ByteBuffer wire = image;
   std::lock_guard<std::mutex> lock(mutex_);
-  ByteBuffer wire = env.encode();
   // The sender is metered unconditionally: transmission happened even
   // if the fault layer then loses or mangles the image in flight.
   TrafficStats& link = link_stats_[link_index(src, dst)];
@@ -176,8 +179,9 @@ std::optional<Envelope> InMemoryNetwork::try_recv_any(std::size_t dst, std::size
 }
 
 void InMemoryNetwork::broadcast(std::size_t src, const Envelope& env) {
+  const ByteBuffer wire = env.encode();
   for (std::size_t dst = 0; dst < config_.num_endpoints; ++dst) {
-    if (dst != src) send(src, dst, env);
+    if (dst != src) send(src, dst, wire);
   }
 }
 

@@ -50,10 +50,13 @@ class InMemoryNetwork final : public Transport {
   /// crash windows are evaluated against this value.
   void begin_round(std::size_t round) override;
 
-  /// Deliver `env` from `src` to `dst` (enqueued immediately; the
-  /// simulated clock advances by the modeled transfer time). The sender
-  /// is metered even when the fault layer then loses the message.
-  void send(std::size_t src, std::size_t dst, const Envelope& env) override;
+  /// Deliver the image `wire` from `src` to `dst` (a copy is enqueued
+  /// immediately; the simulated clock advances by the modeled transfer
+  /// time). The sender is metered even when the fault layer then loses
+  /// the message. Safe to call from several threads: only the copy's
+  /// bookkeeping runs under the fabric lock, never an encode.
+  void send(std::size_t src, std::size_t dst, const ByteBuffer& wire) override;
+  using Transport::send;
 
   /// Pop the oldest message queued for `dst` from `src`, if any, as raw
   /// wire bytes (possibly corrupted or truncated in flight).

@@ -244,7 +244,7 @@ void StreamTransport::close_peer(Peer& peer) {
 }
 
 void StreamTransport::send(std::size_t src, std::size_t dst,
-                           const Envelope& env) {
+                           const ByteBuffer& wire) {
   FEDCAV_REQUIRE(src == local_rank_,
                  "StreamTransport::send: src must be the local rank");
   FEDCAV_REQUIRE(dst < num_endpoints_ && dst != local_rank_,
@@ -254,7 +254,6 @@ void StreamTransport::send(std::size_t src, std::size_t dst,
                  "StreamTransport::send: no channel to rank " +
                      std::to_string(dst));
 
-  const ByteBuffer wire = env.encode();
   // Meter the attempt regardless of delivery — same rule as the
   // in-memory fabric, so bytes_up/bytes_down stay backend-independent.
   TrafficStats& st = stats_[src];

@@ -139,7 +139,8 @@ class StreamTransport : public Transport {
 
   std::size_t num_endpoints() const override { return num_endpoints_; }
   void begin_round(std::size_t round) override { current_round_ = round; }
-  void send(std::size_t src, std::size_t dst, const Envelope& env) override;
+  void send(std::size_t src, std::size_t dst, const ByteBuffer& wire) override;
+  using Transport::send;
   std::optional<ByteBuffer> try_recv_wire(std::size_t dst,
                                           std::size_t src) override;
   std::optional<ByteBuffer> try_recv_any_wire(std::size_t dst,

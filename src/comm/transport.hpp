@@ -14,8 +14,9 @@
 //     worker processes (see src/comm/socket_transport.hpp).
 //
 // Everything travels as opaque CRC-framed wire images (the encoded
-// comm::Envelope): the transport moves bytes and meters them, and only
-// Envelope::try_decode decides whether they arrived intact.
+// comm::Envelope): senders encode once, the transport moves bytes and
+// meters them, and only Envelope::try_decode decides whether they
+// arrived intact.
 //
 // Fairness contract for try_recv_any_wire: when several sources have
 // messages queued, the lowest source rank is drained first (per-source
@@ -53,11 +54,19 @@ class Transport {
   /// (1-based); the in-memory fabric evaluates crash windows against it.
   virtual void begin_round(std::size_t round) = 0;
 
-  /// Deliver `env` from `src` to `dst`. A real transport requires `src`
-  /// to be the local rank and never throws on a dead peer — the bytes
-  /// are metered (transmission was attempted) and the peer is marked
-  /// closed, surfacing through peer_closed() instead of an exception.
-  virtual void send(std::size_t src, std::size_t dst, const Envelope& env) = 0;
+  /// Deliver the encoded Envelope image `wire` from `src` to `dst`. The
+  /// caller encodes once (CRC included) and may resend the same image;
+  /// the transport only copies or frames it. A real transport requires
+  /// `src` to be the local rank and never throws on a dead peer — the
+  /// bytes are metered (transmission was attempted) and the peer is
+  /// marked closed, surfacing through peer_closed() instead of an
+  /// exception.
+  virtual void send(std::size_t src, std::size_t dst, const ByteBuffer& wire) = 0;
+
+  /// Encode `env` and send its image.
+  void send(std::size_t src, std::size_t dst, const Envelope& env) {
+    send(src, dst, env.encode());
+  }
 
   /// Pop the oldest undelivered wire image queued for `dst` from `src`,
   /// if any (possibly corrupted or truncated in flight). Non-blocking.

@@ -291,9 +291,10 @@ class Server {
   std::unique_ptr<nn::ReplicaPool> replica_pool_;
   /// The run's codec and accept rules (quant mode, model size).
   Exchange exchange_;
-  /// This round's encoded downlink (global model) — kept for NACK
-  /// retransmissions so retries don't re-serialize the weights.
-  comm::Envelope downlink_env_;
+  /// This round's downlink (global model) as its wire image, encoded and
+  /// checksummed once per round; every participant's send and every NACK
+  /// retransmission reuses it.
+  ByteBuffer downlink_wire_;
 };
 
 }  // namespace fedcav::fl

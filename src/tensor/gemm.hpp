@@ -80,8 +80,9 @@ void gemm_prepacked(const PackedA& a, Trans tb, std::size_t n, const float* b,
 std::size_t simd_width();
 
 /// Test hook: force the micro-kernel lane width (8 or 16); 0 restores
-/// the startup selection. test_parallel_kernels asserts the two widths
-/// produce bit-identical results.
+/// the startup selection. Gemm.ForcedLaneWidthsAreBitIdentical
+/// (tests/test_gemm.cpp) asserts the two widths produce bit-identical
+/// results.
 void force_simd_width(std::size_t lanes);
 
 /// Tensor-level entry with shape validation: C = op(A)·op(B) + beta·C.

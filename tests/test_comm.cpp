@@ -3,13 +3,18 @@
 // deterministic fault-injection layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "src/comm/compression.hpp"
 #include "src/comm/crc32.hpp"
 #include "src/comm/message.hpp"
 #include "src/comm/network.hpp"
 #include "src/utils/error.hpp"
+#include "src/utils/threadpool.hpp"
+#include "property.hpp"
 
 namespace fedcav::comm {
 namespace {
@@ -157,6 +162,43 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   crc = crc32_update(crc, std::span<const std::uint8_t>(data.data(), 20));
   crc = crc32_update(crc, std::span<const std::uint8_t>(data.data() + 20, 37));
   EXPECT_EQ(crc32_finish(crc), crc32(data));
+}
+
+/// One table lookup per byte: the textbook reflected CRC-32, kept here
+/// as the oracle for the sliced implementation.
+std::uint32_t bytewise_crc32_update(std::uint32_t crc, const std::uint8_t* p,
+                                    std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+  }
+  return crc;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseAtAnyOffsetLengthAndSplit) {
+  FEDCAV_PROPERTY("sliced crc32 == bytewise", 300, [](Rng& rng) {
+    const std::size_t offset = static_cast<std::size_t>(rng.uniform_int(16));
+    const std::size_t len = static_cast<std::size_t>(rng.uniform_int(4201));
+    ByteBuffer storage(offset + len);
+    for (auto& b : storage) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+    const std::uint8_t* data = storage.data() + offset;  // unaligned start
+    const std::uint32_t expected = bytewise_crc32_update(kCrc32Init, data, len);
+
+    // Feed the same bytes in 1–4 pieces cut at random points.
+    const std::size_t pieces = 1 + static_cast<std::size_t>(rng.uniform_int(4));
+    std::vector<std::size_t> cuts{0, len};
+    for (std::size_t i = 1; i < pieces; ++i) {
+      cuts.push_back(static_cast<std::size_t>(rng.uniform_int(len + 1)));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::uint32_t crc = kCrc32Init;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      crc = crc32_update(crc, {data + cuts[i], cuts[i + 1] - cuts[i]});
+    }
+    EXPECT_EQ(crc, expected) << "offset " << offset << " len " << len << " pieces "
+                             << pieces;
+    EXPECT_EQ(crc32({data, len}), crc32_finish(expected));
+  });
 }
 
 TEST(Envelope, CorruptedWireFailsCrcBeforeMessageDecode) {
@@ -348,6 +390,67 @@ TEST(Network, PendingMessagesTracksQueue) {
   EXPECT_EQ(net.pending_messages(), 2u);
   net.try_recv(1, 0);
   EXPECT_EQ(net.pending_messages(), 1u);
+}
+
+TEST(Network, ConcurrentSendsMeterEveryByte) {
+  // Four round-pool threads each own one link (0 → k or k → 0) and send
+  // pre-encoded images of distinct sizes; the fabric lock must keep every
+  // counter exact. Faults are armed so the per-link RNG streams and the
+  // FaultStats bookkeeping run concurrently too.
+  constexpr std::size_t kLinks = 4;
+  constexpr std::size_t kPerLink = 200;
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.drop_prob = 0.1;
+  plan.duplicate_prob = 0.1;
+  plan.reorder_prob = 0.1;
+  NetworkConfig config;
+  config.num_endpoints = kLinks + 1;
+  config.faults = plan;
+  InMemoryNetwork net(config);
+  std::vector<ByteBuffer> images;
+  for (std::size_t k = 0; k < kLinks; ++k) {
+    images.push_back(Envelope{MessageType::kControl, ByteBuffer(16 + 1000 * k, 0x5a)}
+                         .encode());
+  }
+  const auto link = [&](std::size_t k) {
+    const std::size_t client = k + 1;
+    return k % 2 == 0 ? std::pair{std::size_t{0}, client} : std::pair{client, std::size_t{0}};
+  };
+  ThreadPool pool(kLinks);
+  pool.parallel_for(kLinks, [&](std::size_t k) {
+    const auto [src, dst] = link(k);
+    for (std::size_t i = 0; i < kPerLink; ++i) net.send(src, dst, images[k]);
+  });
+
+  std::uint64_t bytes = 0;
+  for (std::size_t k = 0; k < kLinks; ++k) {
+    const auto [src, dst] = link(k);
+    bytes += kPerLink * images[k].size();
+    if (src != 0) {
+      const TrafficStats s = net.stats(src);
+      EXPECT_EQ(s.messages_sent, kPerLink) << "link " << k;
+      EXPECT_EQ(s.bytes_sent, kPerLink * images[k].size()) << "link " << k;
+    }
+  }
+  const std::size_t server_images = images[0].size() + images[2].size();
+  EXPECT_EQ(net.stats(0).messages_sent, 2 * kPerLink);
+  EXPECT_EQ(net.stats(0).bytes_sent, kPerLink * server_images);
+  EXPECT_EQ(net.total_stats().messages_sent, kLinks * kPerLink);
+  EXPECT_EQ(net.total_stats().bytes_sent, bytes);
+
+  // Drain every inbox: whatever survived arrives intact and complete.
+  for (std::size_t dst = 0; dst <= kLinks; ++dst) {
+    std::size_t src = 0;
+    while (auto wire = net.try_recv_any_wire(dst, &src)) {
+      EXPECT_TRUE(Envelope::try_decode(*wire).has_value());
+    }
+  }
+  const FaultStats f = net.fault_stats();
+  EXPECT_EQ(net.pending_messages(), 0u);
+  EXPECT_EQ(kLinks * kPerLink + f.duplicated, f.delivered + f.dropped + f.crash_dropped);
+  EXPECT_GT(f.dropped, 0u);
+  EXPECT_GT(f.duplicated, 0u);
 }
 
 // ------------------------------------------------------ fault fabric

@@ -166,10 +166,9 @@ class ForwardingTransport final : public comm::Transport {
 
   std::size_t num_endpoints() const override { return inner_->num_endpoints(); }
   void begin_round(std::size_t round) override { inner_->begin_round(round); }
-  void send(std::size_t src, std::size_t dst,
-            const comm::Envelope& env) override {
+  void send(std::size_t src, std::size_t dst, const ByteBuffer& wire) override {
     forwarded_ += 1;
-    inner_->send(src, dst, env);
+    inner_->send(src, dst, wire);
   }
   std::optional<ByteBuffer> try_recv_wire(std::size_t dst,
                                           std::size_t src) override {

@@ -251,5 +251,99 @@ TEST(Gemm, StridedOutputLeavesGapsUntouched) {
   }
 }
 
+/// GEMM shapes {m, n, k} the zoo's layers lower to: each conv's im2col
+/// site (forward, weight grad, input grad) per image and batch-fused, and
+/// each dense layer at a small batch.
+struct GemmShape {
+  std::size_t m, n, k;
+};
+
+std::vector<GemmShape> zoo_gemm_shapes() {
+  std::vector<GemmShape> shapes;
+  const auto conv = [&](std::size_t cin, std::size_t cout, std::size_t kernel,
+                        std::size_t stride, std::size_t pad, std::size_t h) {
+    const std::size_t out = (h + 2 * pad - kernel) / stride + 1;
+    const std::size_t rows = cin * kernel * kernel;
+    for (const std::size_t batch : {1, 8}) {
+      const std::size_t cols = batch * out * out;
+      shapes.push_back({cout, cols, rows});
+      shapes.push_back({cout, rows, cols});
+      shapes.push_back({rows, cols, cout});
+    }
+  };
+  const auto dense = [&](std::size_t in, std::size_t out) {
+    constexpr std::size_t kBatch = 8;
+    shapes.push_back({kBatch, out, in});
+    shapes.push_back({out, in, kBatch});
+    shapes.push_back({kBatch, in, out});
+  };
+  // LeNet5Lite.
+  conv(1, 6, 5, 1, 2, 14);
+  conv(6, 16, 5, 1, 0, 7);
+  dense(16 * 3 * 3, 64);
+  dense(64, 10);
+  // ResNetLite: stem, then three residual blocks (two 3×3 convs each,
+  // plus a 1×1 projection where the shape changes).
+  conv(3, 8, 3, 1, 1, 16);
+  conv(8, 8, 3, 1, 1, 16);
+  conv(8, 8, 3, 1, 1, 16);
+  conv(8, 16, 3, 2, 1, 16);
+  conv(16, 16, 3, 1, 1, 8);
+  conv(8, 16, 1, 2, 0, 16);
+  conv(16, 32, 3, 2, 1, 8);
+  conv(32, 32, 3, 1, 1, 4);
+  conv(16, 32, 1, 2, 0, 8);
+  dense(32, 10);
+  // MLP.
+  dense(14 * 14, 32);
+  dense(32, 10);
+  // Edge tiles: m, n, k off every multiple of the 4×16 register tile.
+  for (const GemmShape edge : {GemmShape{1, 1, 1}, GemmShape{5, 17, 3},
+                               GemmShape{7, 33, 19}, GemmShape{63, 65, 31},
+                               GemmShape{130, 18, 66}}) {
+    shapes.push_back(edge);
+  }
+  return shapes;
+}
+
+/// Restores the startup lane selection however the test exits.
+struct ForcedLanesReset {
+  ~ForcedLanesReset() { force_simd_width(0); }
+};
+
+TEST(Gemm, ForcedLaneWidthsAreBitIdentical) {
+  // The 8- and 16-lane micro-kernels must agree bit for bit: each lane
+  // accumulates its own column in the same k order at either width.
+  ForcedLanesReset reset;
+  Rng rng(2024);
+  for (const GemmShape& s : zoo_gemm_shapes()) {
+    for (const Trans ta : {Trans::kNo, Trans::kYes}) {
+      for (const Trans tb : {Trans::kNo, Trans::kYes}) {
+        const std::size_t lda = ta == Trans::kNo ? s.k : s.m;
+        const std::size_t ldb = tb == Trans::kNo ? s.n : s.k;
+        std::vector<float> a(s.m * s.k);
+        std::vector<float> b(s.k * s.n);
+        std::vector<float> c0(s.m * s.n);
+        for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        for (float& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        for (float& v : c0) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        for (const float beta : {0.0f, 1.0f}) {
+          std::vector<float> c8 = c0;
+          std::vector<float> c16 = c0;
+          force_simd_width(8);
+          gemm(ta, tb, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, beta, c8.data(), s.n);
+          force_simd_width(16);
+          gemm(ta, tb, s.m, s.n, s.k, a.data(), lda, b.data(), ldb, beta, c16.data(),
+               s.n);
+          ASSERT_EQ(std::memcmp(c8.data(), c16.data(), c8.size() * sizeof(float)), 0)
+              << "m=" << s.m << " n=" << s.n << " k=" << s.k
+              << " ta=" << static_cast<bool>(ta) << " tb=" << static_cast<bool>(tb)
+              << " beta=" << beta;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fedcav::ops
