@@ -46,14 +46,14 @@ TEST_P(ExchangeCodecs, EveryKindRoundTripsThroughItsFilter) {
   nn::Weights global = sim.server->global_weights();
   const Exchange exchange(GetParam(), 1.0, global.size());
 
-  const ByteBuffer down_wire = exchange.encode_downlink(3, global).encode();
+  const ByteBuffer down_wire = exchange.encode_downlink(3, global);
   fl::Downlink down;
   EXPECT_EQ(exchange.accept_downlink(down_wire, 4, down), Verdict::kStale);  // round
   ASSERT_EQ(exchange.accept_downlink(down_wire, std::nullopt, down), Verdict::kAccepted);
   EXPECT_EQ(down.round, 3u);
   EXPECT_EQ(down.weights, global);  // a quantized run adopted the decoded image
 
-  const ByteBuffer meta_wire = Exchange::encode_metadata(3, client, 0.25).encode();
+  const ByteBuffer meta_wire = Exchange::encode_metadata(3, client, 0.25);
   fl::ClientUpdate meta;
   EXPECT_EQ(Exchange::accept_metadata(meta_wire, 3, 0, meta), Verdict::kStale);  // id
   ASSERT_EQ(Exchange::accept_metadata(meta_wire, 3, 1, meta), Verdict::kAccepted);
@@ -67,8 +67,7 @@ TEST_P(ExchangeCodecs, EveryKindRoundTripsThroughItsFilter) {
   trained.inference_loss = 0.25;
   trained.weights = global;
   for (float& w : trained.weights) w += 0.125f;
-  const ByteBuffer report_wire =
-      exchange.encode_report(3, client, trained, global).encode();
+  const ByteBuffer report_wire = exchange.encode_report(3, client, trained, global);
   fl::ClientUpdate report;
   EXPECT_EQ(exchange.accept_report(report_wire, 2, 1, global, report), Verdict::kStale);
   EXPECT_EQ(exchange.accept_report(report_wire, 3, 0, global, report), Verdict::kStale);
@@ -93,7 +92,7 @@ TEST_P(ExchangeCodecs, EveryKindRoundTripsThroughItsFilter) {
 
   comm::NackMsg nack;
   const ByteBuffer nack_wire =
-      Exchange::encode_nack(3, comm::MessageType::kMetadataReport).encode();
+      Exchange::encode_nack(3, comm::MessageType::kMetadataReport);
   EXPECT_EQ(exchange.accept_downlink(nack_wire, 3, down, &nack), Verdict::kNack);
   EXPECT_EQ(nack.expected, comm::MessageType::kMetadataReport);
 }

@@ -366,7 +366,7 @@ TEST(PropertyWire, AcceptFiltersRejectMalformedPayloadsCleanly) {
     fl::ParticipantOutcome counters;
     bool delivered = false;
     ASSERT_NO_THROW(delivered = fl::deliver(fabric, kind == 0 ? 0 : 1, kind == 0 ? 1 : 0,
-                                            env, kRound, /*max_retries=*/1, 0.0,
+                                            env.encode(), kRound, /*max_retries=*/1, 0.0,
                                             counters, accept));
     EXPECT_EQ(delivered, verdict == fl::Verdict::kAccepted);
     EXPECT_EQ(counters.crc_failures, 0u);
