@@ -1,6 +1,7 @@
 #include "src/comm/network.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -20,23 +21,50 @@ std::uint64_t link_seed(std::uint64_t plan_seed, std::size_t src, std::size_t ds
   return splitmix64(state);
 }
 
+/// Sum per-link counters in link order (fixed, so the float total is
+/// deterministic).
+TrafficStats sum_links(std::vector<TrafficStats>::const_iterator first,
+                       std::vector<TrafficStats>::const_iterator last) {
+  TrafficStats total;
+  for (; first != last; ++first) {
+    total.messages_sent += first->messages_sent;
+    total.bytes_sent += first->bytes_sent;
+    total.simulated_seconds += first->simulated_seconds;
+  }
+  return total;
+}
+
 }  // namespace
 
 InMemoryNetwork::InMemoryNetwork(NetworkConfig config) : config_(config) {
   FEDCAV_REQUIRE(config.num_endpoints >= 2, "InMemoryNetwork: need server + >=1 client");
   FEDCAV_REQUIRE(config.bandwidth_bytes_per_s > 0.0, "InMemoryNetwork: zero bandwidth");
   config_.faults.validate(config_.num_endpoints);
-  const std::size_t n = config_.num_endpoints;
-  inboxes_.resize(n);
-  link_stats_.resize(n * n);
+  const std::size_t clients = config_.num_endpoints - 1;
+  inboxes_.resize(config_.num_endpoints);
+  link_stats_.resize(2 * clients);
   if (config_.faults.enabled()) {
-    link_rng_.reserve(n * n);
-    for (std::size_t src = 0; src < n; ++src) {
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        link_rng_.emplace_back(link_seed(config_.faults.seed, src, dst));
-      }
+    // Each link's stream depends only on (plan seed, src, dst).
+    link_rng_.reserve(2 * clients);
+    for (std::size_t c = 1; c <= clients; ++c) {
+      link_rng_.emplace_back(link_seed(config_.faults.seed, 0, c));
+    }
+    for (std::size_t c = 1; c <= clients; ++c) {
+      link_rng_.emplace_back(link_seed(config_.faults.seed, c, 0));
     }
   }
+}
+
+std::size_t InMemoryNetwork::link_index(std::size_t src, std::size_t dst,
+                                        const char* what) const {
+  FEDCAV_REQUIRE(src < config_.num_endpoints && dst < config_.num_endpoints,
+                 std::string(what) + ": endpoint out of range");
+  FEDCAV_REQUIRE(src != dst, std::string(what) + ": self-send");
+  FEDCAV_REQUIRE(src == 0 || dst == 0,
+                 std::string(what) + ": no link between clients " +
+                     std::to_string(src) + " and " + std::to_string(dst) +
+                     " (the fabric is a star around rank 0)");
+  return src == 0 ? dst - 1 : config_.num_endpoints - 1 + src - 1;
 }
 
 void InMemoryNetwork::begin_round(std::size_t round) {
@@ -66,9 +94,7 @@ void InMemoryNetwork::enqueue(std::size_t src, std::size_t dst, ByteBuffer wire,
 }
 
 void InMemoryNetwork::send(std::size_t src, std::size_t dst, const ByteBuffer& image) {
-  FEDCAV_REQUIRE(src < config_.num_endpoints && dst < config_.num_endpoints,
-                 "InMemoryNetwork::send: endpoint out of range");
-  FEDCAV_REQUIRE(src != dst, "InMemoryNetwork::send: self-send");
+  const std::size_t index = link_index(src, dst, "InMemoryNetwork::send");
   // The fabric owns its copy (faults mutate it in place); making it
   // before taking the lock keeps concurrent senders from serializing on
   // the memcpy.
@@ -76,7 +102,7 @@ void InMemoryNetwork::send(std::size_t src, std::size_t dst, const ByteBuffer& i
   std::lock_guard<std::mutex> lock(mutex_);
   // The sender is metered unconditionally: transmission happened even
   // if the fault layer then loses or mangles the image in flight.
-  TrafficStats& link = link_stats_[link_index(src, dst)];
+  TrafficStats& link = link_stats_[index];
   link.messages_sent += 1;
   link.bytes_sent += wire.size();
   link.simulated_seconds += model_transfer_seconds(wire.size());
@@ -92,7 +118,7 @@ void InMemoryNetwork::send(std::size_t src, std::size_t dst, const ByteBuffer& i
   // Fixed decision order per message — jitter, drop, duplicate,
   // corrupt, truncate, reorder — keeps each link's RNG stream aligned
   // across runs regardless of what fires.
-  Rng& rng = link_rng_[link_index(src, dst)];
+  Rng& rng = link_rng_[index];
   if (plan.jitter_s > 0.0) {
     const double extra = rng.uniform(0.0, plan.jitter_s);
     link.simulated_seconds += extra;
@@ -186,34 +212,22 @@ void InMemoryNetwork::broadcast(std::size_t src, const Envelope& env) {
 }
 
 void InMemoryNetwork::add_link_delay(std::size_t src, std::size_t dst, double seconds) {
-  FEDCAV_REQUIRE(src < config_.num_endpoints && dst < config_.num_endpoints,
-                 "InMemoryNetwork::add_link_delay: endpoint out of range");
+  const std::size_t index = link_index(src, dst, "InMemoryNetwork::add_link_delay");
   std::lock_guard<std::mutex> lock(mutex_);
-  link_stats_[link_index(src, dst)].simulated_seconds += seconds;
+  link_stats_[index].simulated_seconds += seconds;
 }
 
 TrafficStats InMemoryNetwork::stats(std::size_t endpoint) const {
   FEDCAV_REQUIRE(endpoint < config_.num_endpoints, "InMemoryNetwork::stats: bad endpoint");
   std::lock_guard<std::mutex> lock(mutex_);
-  TrafficStats total;
-  for (std::size_t dst = 0; dst < config_.num_endpoints; ++dst) {
-    const TrafficStats& s = link_stats_[link_index(endpoint, dst)];
-    total.messages_sent += s.messages_sent;
-    total.bytes_sent += s.bytes_sent;
-    total.simulated_seconds += s.simulated_seconds;
-  }
-  return total;
+  if (endpoint != 0) return link_stats_[link_index(endpoint, 0, "InMemoryNetwork::stats")];
+  // The server's downlinks, in ascending client order.
+  return sum_links(link_stats_.begin(), link_stats_.begin() + (config_.num_endpoints - 1));
 }
 
 TrafficStats InMemoryNetwork::total_stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  TrafficStats total;
-  for (const auto& s : link_stats_) {
-    total.messages_sent += s.messages_sent;
-    total.bytes_sent += s.bytes_sent;
-    total.simulated_seconds += s.simulated_seconds;
-  }
-  return total;
+  return sum_links(link_stats_.begin(), link_stats_.end());
 }
 
 void InMemoryNetwork::reset_stats() {
@@ -255,7 +269,7 @@ std::size_t InMemoryNetwork::pending_messages() const {
   return n;
 }
 
-void InMemoryNetwork::save_state(ByteBuffer& buf, bool with_stats) const {
+void InMemoryNetwork::save_state(ByteBuffer& buf) const {
   std::lock_guard<std::mutex> lock(mutex_);
   write_u64(buf, current_round_);
   write_u64(buf, config_.num_endpoints);
@@ -269,12 +283,10 @@ void InMemoryNetwork::save_state(ByteBuffer& buf, bool with_stats) const {
       buf.insert(buf.end(), q.wire.begin(), q.wire.end());
     }
   }
-  if (!with_stats) return;  // legacy v3 layout stops here
-  // v4: the accounting travels with the queues it describes. Without it
-  // a resumed fabric reports pending messages that were never "sent",
+  // The accounting travels with the queues it describes. Without it a
+  // resumed fabric reports pending messages that were never "sent",
   // violating sent + duplicated == delivered + dropped + crash_dropped
   // + pending for the rest of the run.
-  write_u64(buf, link_stats_.size());
   for (const TrafficStats& s : link_stats_) {
     write_u64(buf, s.messages_sent);
     write_u64(buf, s.bytes_sent);
@@ -290,7 +302,7 @@ void InMemoryNetwork::save_state(ByteBuffer& buf, bool with_stats) const {
   write_f64(buf, fault_stats_.jitter_seconds);
 }
 
-void InMemoryNetwork::load_state(ByteReader& reader, bool with_stats) {
+void InMemoryNetwork::load_state(ByteReader& reader) {
   std::lock_guard<std::mutex> lock(mutex_);
   current_round_ = reader.read_u64();
   const std::uint64_t endpoints = reader.read_u64();
@@ -301,24 +313,23 @@ void InMemoryNetwork::load_state(ByteReader& reader, bool with_stats) {
                  "InMemoryNetwork::load_state: fault RNG count mismatch "
                  "(checkpoint and config disagree on whether faults are enabled)");
   for (Rng& rng : link_rng_) rng.set_state(read_rng_state(reader));
-  for (auto& inbox : inboxes_) {
+  for (std::size_t dst = 0; dst < inboxes_.size(); ++dst) {
+    auto& inbox = inboxes_[dst];
     inbox.clear();
     const std::uint64_t count = reader.read_u64();
     for (std::uint64_t i = 0; i < count; ++i) {
       Queued q;
       q.src = reader.read_u64();
-      FEDCAV_REQUIRE(q.src < config_.num_endpoints,
-                     "InMemoryNetwork::load_state: bad queued source");
+      FEDCAV_REQUIRE(q.src < config_.num_endpoints && q.src != dst && (q.src == 0 || dst == 0),
+                     "InMemoryNetwork::load_state: queued message on no link");
       const std::uint64_t bytes = reader.read_u64();
+      FEDCAV_REQUIRE(bytes <= reader.remaining(),
+                     "InMemoryNetwork::load_state: truncated wire image");
       q.wire.resize(bytes);
       for (std::uint64_t b = 0; b < bytes; ++b) q.wire[b] = reader.read_u8();
       inbox.push_back(std::move(q));
     }
   }
-  if (!with_stats) return;  // v3 file: accounting starts over from zero
-  const std::uint64_t links = reader.read_u64();
-  FEDCAV_REQUIRE(links == link_stats_.size(),
-                 "InMemoryNetwork::load_state: link stats count mismatch");
   for (TrafficStats& s : link_stats_) {
     s.messages_sent = reader.read_u64();
     s.bytes_sent = reader.read_u64();
@@ -332,6 +343,18 @@ void InMemoryNetwork::load_state(ByteReader& reader, bool with_stats) {
   fault_stats_.truncated = reader.read_u64();
   fault_stats_.delivered = reader.read_u64();
   fault_stats_.jitter_seconds = reader.read_f64();
+}
+
+void InMemoryNetwork::swap_state(InMemoryNetwork& other) {
+  FEDCAV_REQUIRE(other.config_.num_endpoints == config_.num_endpoints &&
+                     other.link_rng_.size() == link_rng_.size(),
+                 "InMemoryNetwork::swap_state: fabrics built from different configs");
+  std::scoped_lock lock(mutex_, other.mutex_);
+  std::swap(current_round_, other.current_round_);
+  inboxes_.swap(other.inboxes_);
+  link_stats_.swap(other.link_stats_);
+  link_rng_.swap(other.link_rng_);
+  std::swap(fault_stats_, other.fault_stats_);
 }
 
 }  // namespace fedcav::comm

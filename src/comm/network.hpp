@@ -12,9 +12,12 @@
 // bit, cut a suffix, add latency jitter, or black-hole traffic for
 // crashed endpoints (see src/comm/faults.hpp). Fault decisions come
 // from per-link RNG streams, so a chaos run is reproducible with any
-// thread-pool size. Fault-aware receivers pop raw wire bytes with
-// try_recv_wire() and validate via Envelope::try_decode; try_recv()
-// remains the strict trusted-fabric path (throws on a damaged image).
+// thread-pool size. The fabric is a star: rank 0 talks to every client
+// and clients never talk to each other, so link state (traffic counters
+// and fault streams) exists only for the 2n server↔client links.
+// Fault-aware receivers pop raw wire bytes with try_recv_wire() and
+// validate via Envelope::try_decode; try_recv() remains the strict
+// trusted-fabric path (throws on a damaged image).
 #pragma once
 
 #include <cstdint>
@@ -45,6 +48,7 @@ class InMemoryNetwork final : public Transport {
   explicit InMemoryNetwork(NetworkConfig config);
 
   std::size_t num_endpoints() const override { return config_.num_endpoints; }
+  const NetworkConfig& config() const { return config_; }
 
   /// Tell the fabric which communication round is in progress (1-based);
   /// crash windows are evaluated against this value.
@@ -53,8 +57,10 @@ class InMemoryNetwork final : public Transport {
   /// Deliver the image `wire` from `src` to `dst` (a copy is enqueued
   /// immediately; the simulated clock advances by the modeled transfer
   /// time). The sender is metered even when the fault layer then loses
-  /// the message. Safe to call from several threads: only the copy's
-  /// bookkeeping runs under the fabric lock, never an encode.
+  /// the message. One endpoint must be the server (rank 0): a
+  /// client→client send throws fedcav::Error. Safe to call from several
+  /// threads: only the copy's bookkeeping runs under the fabric lock,
+  /// never an encode.
   void send(std::size_t src, std::size_t dst, const ByteBuffer& wire) override;
   using Transport::send;
 
@@ -77,11 +83,13 @@ class InMemoryNetwork final : public Transport {
   /// source-rank order). Throws fedcav::Error on a damaged image.
   std::optional<Envelope> try_recv_any(std::size_t dst, std::size_t* src_out);
 
-  /// Send to every endpoint except `src` (server broadcast).
+  /// Send to every endpoint except `src` (server broadcast; `src` must
+  /// be rank 0).
   void broadcast(std::size_t src, const Envelope& env);
 
   /// Charge `seconds` of extra simulated time to the (src, dst) link —
-  /// the retry protocol's exponential backoff goes through this.
+  /// the retry protocol's exponential backoff goes through this. Throws
+  /// fedcav::Error for a client→client pair (no such link).
   void add_link_delay(std::size_t src, std::size_t dst, double seconds) override;
 
   /// Per-endpoint outbound traffic accounting (sum over its links, in
@@ -105,18 +113,22 @@ class InMemoryNetwork final : public Transport {
   double model_transfer_seconds(std::size_t bytes) const override;
 
   /// Serialize / restore the fabric's mutable state: the current round,
-  /// every per-link fault RNG stream, all in-flight wire images, and —
-  /// with `with_stats` (checkpoint v4) — the per-link traffic counters
-  /// plus the fabric-wide FaultStats. Checkpoints embed this so a
-  /// resumed chaos run replays the exact fault sequence, including
-  /// stale duplicates still in the queues. `with_stats = false` is the
-  /// legacy v3 layout, which silently zeroed the accounting on load and
-  /// therefore broke the conservation invariant on any resumed fabric
-  /// with in-flight messages (the first bug the chaos search minimized;
-  /// see tests/chaos_seeds/resume_stats_conservation.plan).
-  /// load_state throws fedcav::Error on endpoint-count mismatch.
-  void save_state(ByteBuffer& buf, bool with_stats = true) const;
-  void load_state(ByteReader& reader, bool with_stats = true);
+  /// the fault RNG stream of each of the 2n links, all in-flight wire
+  /// images, the per-link traffic counters and the fabric-wide
+  /// FaultStats. Checkpoints embed this so a resumed chaos run replays
+  /// the exact fault sequence, including stale duplicates still in the
+  /// queues, with its conservation invariant intact. load_state throws
+  /// fedcav::Error on a malformed image or an endpoint-count / fault-plan
+  /// mismatch and may leave this fabric partly overwritten, so callers
+  /// that must not change on failure load into a fresh fabric built from
+  /// config() and then swap_state() it in.
+  void save_state(ByteBuffer& buf) const;
+  void load_state(ByteReader& reader);
+
+  /// Exchange all mutable state (round, queues, link streams, traffic
+  /// and fault accounting) with `other`, which must have been built from
+  /// the same config — the commit step of a staged checkpoint load.
+  void swap_state(InMemoryNetwork& other);
 
  private:
   struct Queued {
@@ -124,9 +136,11 @@ class InMemoryNetwork final : public Transport {
     ByteBuffer wire;
   };
 
-  std::size_t link_index(std::size_t src, std::size_t dst) const {
-    return src * config_.num_endpoints + dst;
-  }
+  /// Index of the server↔client link (src, dst): the n downlinks 0→c
+  /// come first (c − 1), then the n uplinks c→0 (n + c − 1), so sums
+  /// over links run in a fixed order. Throws fedcav::Error, prefixed
+  /// with `what`, when (src, dst) is not a link.
+  std::size_t link_index(std::size_t src, std::size_t dst, const char* what) const;
   /// Append `wire` to dst's inbox; with `reorder`, let it overtake the
   /// most recent queued same-link message instead. Caller holds mutex_.
   void enqueue(std::size_t src, std::size_t dst, ByteBuffer wire, bool reorder);
@@ -134,8 +148,8 @@ class InMemoryNetwork final : public Transport {
 
   NetworkConfig config_;
   std::vector<std::deque<Queued>> inboxes_;  // per destination
-  std::vector<TrafficStats> link_stats_;     // per (src, dst) link
-  std::vector<Rng> link_rng_;                // per (src, dst) fault stream
+  std::vector<TrafficStats> link_stats_;     // per link, see link_index
+  std::vector<Rng> link_rng_;                // per link fault stream
   FaultStats fault_stats_;
   std::size_t current_round_ = 0;
   mutable std::mutex mutex_;

@@ -135,13 +135,14 @@ void StreamTransport::accept_workers(int listener_fd, std::size_t num_workers,
     if (conn.fd < 0) continue;  // transient accept failure; keep listening
     configure_channel_fd(conn.fd);
 
-    // Read the fixed-size HELLO with whatever budget is left. A peer
-    // that stalls or sends garbage is rejected and closed — it never
-    // consumes a rank, and `conn` guarantees the fd is released.
+    // Read the fixed-size HELLO within kHelloReadTimeoutS (or whatever
+    // budget is left, if less). A peer that stalls or sends garbage is
+    // rejected and closed — it never consumes a rank, and `conn`
+    // guarantees the fd is released.
     ByteBuffer hello_wire(kHelloBytes);
-    const IoStatus io =
-        read_exact(conn.fd, hello_wire.data(), hello_wire.size(),
-                   std::max(0.1, config_.accept_timeout_s - watch.seconds()));
+    const IoStatus io = read_exact(
+        conn.fd, hello_wire.data(), hello_wire.size(),
+        std::clamp(config_.accept_timeout_s - watch.seconds(), 0.1, kHelloReadTimeoutS));
     if (io != IoStatus::kOk) continue;
     const std::optional<HelloMsg> hello = HelloMsg::decode(hello_wire);
     if (!hello.has_value()) {

@@ -80,6 +80,13 @@ struct StreamTransportConfig {
   bool abort_on_reject = false;
 };
 
+/// serve(): how long one accepted connection may take to deliver its
+/// HELLO (capped by what is left of accept_timeout_s). Accepts are
+/// serial, so without this bound one silent connection would hold off
+/// every later join for the whole accept budget. An honest worker sends
+/// its HELLO right after connect, so a few seconds is ample.
+inline constexpr double kHelloReadTimeoutS = 3.0;
+
 /// Human-readable HandshakeStatus (log + error messages).
 const char* handshake_status_name(HandshakeStatus status);
 

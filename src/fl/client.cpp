@@ -143,32 +143,33 @@ double Client::quant_residual_norm() const {
   return std::sqrt(sq);
 }
 
-void Client::save_state(ByteBuffer& buf, bool with_quant_residual) const {
+void Client::save_state(ByteBuffer& buf) const {
   write_rng_state(buf, rng_.state());
   write_f32_span(buf, curv_anchor_);
   write_f32_span(buf, curv_importance_);
-  if (with_quant_residual) write_f32_span(buf, quant_residual_);
+  write_f32_span(buf, quant_residual_);
 }
 
-void Client::load_state(ByteReader& reader, std::size_t expected_params,
-                        bool with_quant_residual) {
-  rng_.set_state(read_rng_state(reader));
-  std::vector<float> anchor = reader.read_f32_vector();
-  std::vector<float> importance = reader.read_f32_vector();
-  FEDCAV_REQUIRE(anchor.empty() || anchor.size() == expected_params,
-                 "Client::load_state: curvature anchor size mismatch");
-  FEDCAV_REQUIRE(importance.size() == anchor.size(),
-                 "Client::load_state: curvature importance size mismatch");
-  curv_anchor_ = std::move(anchor);
-  curv_importance_ = std::move(importance);
-  if (with_quant_residual) {
-    std::vector<float> residual = reader.read_f32_vector();
-    FEDCAV_REQUIRE(residual.empty() || residual.size() == expected_params,
-                   "Client::load_state: quant residual size mismatch");
-    quant_residual_ = std::move(residual);
-  } else {
-    quant_residual_.clear();  // pre-v5 file: no pending residual
-  }
+Client::State Client::read_state(ByteReader& reader, std::size_t expected_params) {
+  State state;
+  state.rng.set_state(read_rng_state(reader));
+  state.curv_anchor = reader.read_f32_vector();
+  state.curv_importance = reader.read_f32_vector();
+  state.quant_residual = reader.read_f32_vector();
+  FEDCAV_REQUIRE(state.curv_anchor.empty() || state.curv_anchor.size() == expected_params,
+                 "Client::read_state: curvature anchor size mismatch");
+  FEDCAV_REQUIRE(state.curv_importance.size() == state.curv_anchor.size(),
+                 "Client::read_state: curvature importance size mismatch");
+  FEDCAV_REQUIRE(state.quant_residual.empty() || state.quant_residual.size() == expected_params,
+                 "Client::read_state: quant residual size mismatch");
+  return state;
+}
+
+void Client::restore_state(State state) noexcept {
+  rng_ = state.rng;
+  curv_anchor_ = std::move(state.curv_anchor);
+  curv_importance_ = std::move(state.curv_importance);
+  quant_residual_ = std::move(state.quant_residual);
 }
 
 void Client::set_local_data(data::Dataset new_data) {

@@ -85,18 +85,26 @@ class Client {
   /// quantized participation).
   double quant_residual_norm() const;
 
-  /// Serialize / restore the client's round-to-round mutable state: the
-  /// batch-shuffle RNG stream and the FedCurv anchor/importance vectors
-  /// (and, when `with_quant_residual`, the pending error-feedback
-  /// residual — checkpoint v5+; older formats never carried it, so
-  /// loading them leaves the residual empty). Model weights are not
-  /// included — every participation overwrites them with the downloaded
-  /// global model. load_state throws fedcav::Error when a non-empty
-  /// anchor or residual does not match `expected_params` (the global
-  /// model's parameter count).
-  void save_state(ByteBuffer& buf, bool with_quant_residual = false) const;
-  void load_state(ByteReader& reader, std::size_t expected_params,
-                  bool with_quant_residual = false);
+  /// The client's round-to-round mutable state: the batch-shuffle RNG
+  /// stream, the FedCurv anchor/importance vectors and the pending
+  /// error-feedback residual. Model weights are not included — every
+  /// participation overwrites them with the downloaded global model.
+  struct State {
+    Rng rng;
+    std::vector<float> curv_anchor;
+    std::vector<float> curv_importance;
+    std::vector<float> quant_residual;
+  };
+
+  /// Serialize the State (one checkpoint section per client).
+  void save_state(ByteBuffer& buf) const;
+  /// Parse a save_state image without touching any client — the staging
+  /// half of a checkpoint load. Throws fedcav::Error on a malformed image
+  /// or when a non-empty anchor or residual does not match
+  /// `expected_params` (the global model's parameter count).
+  static State read_state(ByteReader& reader, std::size_t expected_params);
+  /// Install a State from read_state (the commit half; cannot fail).
+  void restore_state(State state) noexcept;
 
  private:
   /// Diagonal Fisher estimate of `model` on the local data (mean squared

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
+#include <span>
+#include <string>
 
 #include <unistd.h>
 
+#include "src/comm/crc32.hpp"
 #include "src/fl/round_engine.hpp"
 #include "src/metrics/evaluation.hpp"
 #include "src/obs/metrics.hpp"
@@ -21,21 +23,86 @@ namespace {
 
 constexpr std::size_t kServerRank = 0;
 
-// Checkpoint formats; the magic of version v is kCheckpointMagicBase + v.
-// v1 carried only the round counter and the global weights; v2 adds
-// everything needed for bit-identical resume; v3 appends the comm
-// fabric's fault-RNG streams and in-flight messages so chaos runs also
-// resume bit-identically; v4 additionally embeds the fabric's
-// traffic/fault accounting so the conservation invariant survives a
-// resume (v3 zeroed it, which the chaos search caught — see
-// tests/chaos_seeds/resume_stats_conservation.plan); v5 appends each
-// client's quantization error-feedback residual, so a quantized run
-// resumed mid-stream sends the exact deltas the uninterrupted run would
-// have; v6 appends the RngMode the run was recorded under (DESIGN.md
-// §16): a derived-seed run resumed from a v6 file keeps deriving, and a
-// pre-v6 file — written when only the legacy streams existed — always
-// loads in kLegacyStream regardless of the configured mode.
-constexpr std::uint64_t kCheckpointMagicBase = 0xfedca5c4ec9016ULL;
+// Checkpoint file: a magic, a section table, then the section payloads
+// back to back in table order.
+//
+//   u64 kCheckpointMagic
+//   u64 section count
+//   count × { u32 tag, u64 payload length, u32 CRC-32 of the payload }
+//   payloads
+//
+// The sections are, in this order: server (round, global weights, cached
+// reverse-target weights, detector reference, RngMode), sampler,
+// straggler RNG, one per client, and the fabric when the server owns an
+// InMemoryNetwork. Every single-bit flip or truncation fails a check
+// made before any section is parsed: a flipped count or tag breaks the
+// expected sequence, a flipped length the length sum, and a flipped CRC
+// or payload byte that section's checksum.
+constexpr std::uint64_t kCheckpointMagic = 0x54504b4356414346ULL;  // "FCAVCKPT"
+// The retired formats v1–v6 used magic kRetiredMagicBase + v; they are
+// recognised only to name them in the rejection.
+constexpr std::uint64_t kRetiredMagicBase = 0xfedca5c4ec9016ULL;
+constexpr std::uint64_t kRetiredVersions = 6;
+
+enum class Section : std::uint32_t {
+  kServer = 1,
+  kSampler = 2,
+  kStraggler = 3,
+  kClient = 4,
+  kFabric = 5,
+};
+
+/// The section sequence a server with `clients` clients (and a fabric
+/// when `fabric`) writes and accepts.
+std::vector<Section> section_layout(std::size_t clients, bool fabric) {
+  std::vector<Section> tags = {Section::kServer, Section::kSampler, Section::kStraggler};
+  tags.insert(tags.end(), clients, Section::kClient);
+  if (fabric) tags.push_back(Section::kFabric);
+  return tags;
+}
+
+/// Checks `file` — magic, the exact section sequence for a server with
+/// `clients` clients and (when `fabric`) an owned fabric, every length,
+/// every CRC — and returns each section's payload, unparsed.
+std::vector<std::span<const std::uint8_t>> split_sections(std::span<const std::uint8_t> file,
+                                                          std::size_t clients, bool fabric,
+                                                          const std::string& path) {
+  const std::string where = "load_checkpoint: " + path + ": ";
+  ByteReader reader(file);
+  const std::uint64_t magic = reader.read_u64();
+  const std::uint64_t retired = magic - kRetiredMagicBase;
+  FEDCAV_REQUIRE(retired < 1 || retired > kRetiredVersions,
+                 where + "checkpoint format v" + std::to_string(retired) +
+                     " is retired and no longer loads");
+  FEDCAV_REQUIRE(magic == kCheckpointMagic, where + "bad magic (not a checkpoint)");
+  const std::string mismatch = where + "sections do not match a server with " +
+                               std::to_string(clients) + " clients and " +
+                               (fabric ? "a" : "no") + " fabric";
+  const std::vector<Section> expected = section_layout(clients, fabric);
+  FEDCAV_REQUIRE(reader.read_u64() == expected.size(), mismatch);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> entries;  // (length, CRC)
+  for (const Section tag : expected) {
+    FEDCAV_REQUIRE(static_cast<Section>(reader.read_u32()) == tag, mismatch);
+    const std::uint64_t length = reader.read_u64();
+    entries.emplace_back(length, reader.read_u32());
+  }
+  std::size_t offset = file.size() - reader.remaining();
+  std::vector<std::span<const std::uint8_t>> payloads;
+  for (const auto& [length, crc] : entries) {
+    const std::string section = " section #" + std::to_string(payloads.size());
+    FEDCAV_REQUIRE(length <= file.size() - offset, where + "truncated in" + section);
+    payloads.push_back(file.subspan(offset, length));
+    offset += length;
+    FEDCAV_REQUIRE(comm::crc32(payloads.back()) == crc, where + "CRC-32 mismatch in" + section);
+  }
+  FEDCAV_REQUIRE(offset == file.size(), where + "trailing bytes");
+  return payloads;
+}
+
+/// Require that a section's parser consumed its whole payload.
+void require_consumed(const ByteReader& reader, const std::string& path) {
+  FEDCAV_REQUIRE(reader.exhausted(), "load_checkpoint: trailing bytes in a section of " + path);
+}
 
 /// Crash-safe replace of `path` with `bytes`: write the sibling
 /// `path + ".tmp"`, fsync it, then rename it over the target. A crash at
@@ -310,9 +377,7 @@ void Server::set_lr_schedule(std::unique_ptr<nn::LrSchedule> schedule) {
   lr_schedule_ = std::move(schedule);
 }
 
-void Server::save_checkpoint(const std::string& path, int version) const {
-  FEDCAV_REQUIRE(version >= 2 && version <= 6,
-                 "save_checkpoint: unsupported version requested");
+void Server::save_checkpoint(const std::string& path) const {
   // The per-client batch RNGs, FedCurv anchors and error-feedback
   // residuals of a remote federation live in the worker processes; the
   // daemon's copies never advance, so a file written here would resume
@@ -320,104 +385,107 @@ void Server::save_checkpoint(const std::string& path, int version) const {
   FEDCAV_REQUIRE(!remote_,
                  "save_checkpoint: not supported in remote mode — client state "
                  "lives in the worker processes");
-  ByteBuffer buf;
-  write_u64(buf, kCheckpointMagicBase + static_cast<std::uint64_t>(version));
-  write_u64(buf, round_);
-  write_f32_span(buf, global_weights_);
+  const std::vector<Section> tags = section_layout(clients_.size(), network_ != nullptr);
+  std::vector<ByteBuffer> payloads(tags.size());
+  ByteBuffer& server = payloads[0];
+  write_u64(server, round_);
+  write_f32_span(server, global_weights_);
   // The reverse target w_{t-1}: without it a resumed run that trips the
   // detector would "reverse" to whatever the loader improvised.
-  write_f32_span(buf, cached_weights_);
+  write_f32_span(server, cached_weights_);
   const std::optional<double> reference = detector_.reference_max();
-  write_u8(buf, reference.has_value() ? 1 : 0);
-  write_f64(buf, reference.value_or(0.0));
-  sampler_.save_state(buf);
-  write_rng_state(buf, straggler_rng_.state());
-  write_u64(buf, clients_.size());
-  for (const auto& client : clients_) {
-    client->save_state(buf, /*with_quant_residual=*/version >= 5);
+  write_u8(server, reference.has_value() ? 1 : 0);
+  write_f64(server, reference.value_or(0.0));
+  // The mode travels with the run: a derived-seed run resumes deriving.
+  write_u8(server, static_cast<std::uint8_t>(config_.rng_mode));
+  sampler_.save_state(payloads[1]);
+  write_rng_state(payloads[2], straggler_rng_.state());
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    clients_[i]->save_state(payloads[3 + i]);
   }
-  if (version >= 3) {
-    // Fabric state: fault-RNG streams + in-flight wire images (and,
-    // from v4, the traffic/fault accounting), so a resumed chaos run
-    // replays the exact same fault sequence with its conservation
-    // invariant intact.
-    write_u8(buf, network_ != nullptr ? 1 : 0);
-    if (network_ != nullptr) network_->save_state(buf, /*with_stats=*/version >= 4);
+  // Fault-RNG streams, in-flight wire images and the traffic/fault
+  // accounting, so a resumed chaos run replays the same fault sequence.
+  if (network_ != nullptr) network_->save_state(payloads.back());
+
+  ByteBuffer file;
+  write_u64(file, kCheckpointMagic);
+  write_u64(file, tags.size());
+  for (std::size_t i = 0; i < tags.size(); ++i) {
+    write_u32(file, static_cast<std::uint32_t>(tags[i]));
+    write_u64(file, payloads[i].size());
+    write_u32(file, comm::crc32(payloads[i]));
   }
-  if (version >= 6) write_u8(buf, static_cast<std::uint8_t>(config_.rng_mode));
-  replace_file(path, buf);
+  for (const ByteBuffer& payload : payloads) {
+    file.insert(file.end(), payload.begin(), payload.end());
+  }
+  replace_file(path, file);
 }
 
 void Server::load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   FEDCAV_REQUIRE(in.good(), "load_checkpoint: cannot open " + path);
-  ByteBuffer buf((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  ByteReader reader(buf);
-  const std::uint64_t version = reader.read_u64() - kCheckpointMagicBase;
-  FEDCAV_REQUIRE(version >= 1 && version <= 6, "load_checkpoint: bad magic in " + path);
+  ByteBuffer file(static_cast<std::size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(file.data()), static_cast<std::streamsize>(file.size()));
+  FEDCAV_REQUIRE(in.good(), "load_checkpoint: read failed for " + path);
+  const std::vector<std::span<const std::uint8_t>> payloads =
+      split_sections(file, clients_.size(), network_ != nullptr, path);
 
-  if (version == 1) {
-    // Legacy file: weights + round only. The best available reverse
-    // target is the restored model itself, and the detector has to
-    // re-learn its reference.
-    const std::uint64_t saved_round = reader.read_u64();
-    std::vector<float> weights = reader.read_f32_vector();
-    FEDCAV_REQUIRE(weights.size() == global_weights_.size(),
-                   "load_checkpoint: weight count mismatch in " + path);
-    round_ = saved_round;
-    set_global_weights(std::move(weights));
-    cached_weights_ = global_weights_;
-    detector_.reset();
-    return;
-  }
-
-  const std::uint64_t saved_round = reader.read_u64();
-  std::vector<float> weights = reader.read_f32_vector();
+  // Stage: parse every section into a value the server does not own yet.
+  ByteReader server(payloads[0]);
+  const std::uint64_t saved_round = server.read_u64();
+  nn::Weights weights = server.read_f32_vector();
   FEDCAV_REQUIRE(weights.size() == global_weights_.size(),
                  "load_checkpoint: weight count mismatch in " + path);
-  std::vector<float> cached = reader.read_f32_vector();
+  nn::Weights cached = server.read_f32_vector();
   FEDCAV_REQUIRE(cached.size() == global_weights_.size(),
                  "load_checkpoint: cached weight count mismatch in " + path);
-  const bool has_reference = reader.read_u8() != 0;
-  const double reference = reader.read_f64();
-  sampler_.load_state(reader);
-  straggler_rng_.set_state(read_rng_state(reader));
-  const std::uint64_t num_clients = reader.read_u64();
-  FEDCAV_REQUIRE(num_clients == clients_.size(),
-                 "load_checkpoint: client count mismatch in " + path);
-  for (auto& client : clients_) {
-    client->load_state(reader, global_weights_.size(),
-                       /*with_quant_residual=*/version >= 5);
-  }
-  if (version >= 3) {
-    const bool has_network = reader.read_u8() != 0;
-    FEDCAV_REQUIRE(has_network == (network_ != nullptr),
-                   "load_checkpoint: network presence mismatch in " + path);
-    if (has_network) {
-      network_->load_state(reader, /*with_stats=*/version >= 4);
-    }
-  }
-  // RngMode travels with the run (v6): pre-v6 files were written when
-  // only the legacy streams existed, so they load in kLegacyStream no
-  // matter what the server was configured with — bit-compat first.
-  if (version >= 6) {
-    const std::uint8_t mode = reader.read_u8();
-    FEDCAV_REQUIRE(mode <= static_cast<std::uint8_t>(RngMode::kDerived),
-                   "load_checkpoint: bad rng_mode in " + path);
-    config_.rng_mode = static_cast<RngMode>(mode);
-  } else {
-    config_.rng_mode = RngMode::kLegacyStream;
-  }
-  // v2 files load with the fabric left in its freshly-seeded state; v3
-  // files restore the queues but restart the traffic/fault accounting
-  // from zero (their layout never carried it).
-  FEDCAV_REQUIRE(reader.exhausted(), "load_checkpoint: trailing bytes in " + path);
+  const bool has_reference = server.read_u8() != 0;
+  const double reference = server.read_f64();
+  const std::uint8_t mode = server.read_u8();
+  FEDCAV_REQUIRE(mode <= static_cast<std::uint8_t>(RngMode::kDerived),
+                 "load_checkpoint: bad rng_mode in " + path);
+  require_consumed(server, path);
 
+  ParticipantSampler sampler = sampler_;
+  ByteReader sampler_reader(payloads[1]);
+  sampler.load_state(sampler_reader);
+  require_consumed(sampler_reader, path);
+
+  Rng straggler;
+  ByteReader straggler_reader(payloads[2]);
+  straggler.set_state(read_rng_state(straggler_reader));
+  require_consumed(straggler_reader, path);
+
+  std::vector<Client::State> client_states;
+  client_states.reserve(clients_.size());
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    ByteReader reader(payloads[3 + i]);
+    client_states.push_back(Client::read_state(reader, global_weights_.size()));
+    require_consumed(reader, path);
+  }
+
+  std::unique_ptr<comm::InMemoryNetwork> fabric;
+  if (network_ != nullptr) {
+    fabric = std::make_unique<comm::InMemoryNetwork>(network_->config());
+    ByteReader reader(payloads.back());
+    fabric->load_state(reader);
+    require_consumed(reader, path);
+  }
+
+  // Commit: moves, swaps and size-checked copies; nothing below can fail.
+  if (fabric != nullptr) network_->swap_state(*fabric);
   round_ = saved_round;
   set_global_weights(std::move(weights));
   cached_weights_ = std::move(cached);
   detector_.restore_reference(has_reference ? std::optional<double>(reference)
                                             : std::nullopt);
+  config_.rng_mode = static_cast<RngMode>(mode);
+  sampler_ = std::move(sampler);
+  straggler_rng_ = straggler;
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    clients_[i]->restore_state(std::move(client_states[i]));
+  }
 }
 
 void Server::write_telemetry(const std::string& trace_path,

@@ -136,8 +136,8 @@ class Server {
   const metrics::TrainingHistory& history() const { return history_; }
   std::size_t current_round() const { return round_; }
   std::size_t num_clients() const { return clients_.size(); }
-  /// Effective config — load_checkpoint may rewrite rng_mode (a pre-v6
-  /// file forces legacy-stream mode).
+  /// Effective config — load_checkpoint sets rng_mode to the mode the
+  /// checkpointed run was recorded under.
   const ServerConfig& config() const { return config_; }
 
   const nn::Weights& global_weights() const { return global_weights_; }
@@ -170,32 +170,29 @@ class Server {
   const nn::ReplicaPool* replica_pool() const { return replica_pool_.get(); }
   nn::ReplicaPool* replica_pool() { return replica_pool_.get(); }
 
-  /// Serialize the full resumable server state to `path` (binary, v6
-  /// format by default): round counter, global + cached (reverse-target)
-  /// weights, detector reference, sampler state (RNG stream, round-robin
-  /// cursor, per-client loss memory), straggler RNG, per-client state
-  /// (batch RNG + FedCurv anchors), the comm fabric's fault-RNG streams
-  /// and in-flight messages (v3), the fabric's traffic/fault accounting
-  /// (v4), each client's quantization error-feedback residual (v5), and
-  /// — new in v6 — the RngMode the run was recorded under, so a resumed
-  /// run derives (or replays) exactly the streams the uninterrupted run
-  /// would have. A run resumed from the file is bit-identical to one
-  /// that never stopped. `version` may be 2–5 to emit the legacy
-  /// formats (compat testing). The file is replaced atomically through
-  /// `path + ".tmp"`, so a failed or interrupted save leaves the previous
-  /// checkpoint intact. Throws in remote mode (set_transport with
-  /// remote = true), where the client state lives in the workers.
-  void save_checkpoint(const std::string& path, int version = 6) const;
-  /// Restore state from save_checkpoint output. Pre-v6 files load in
-  /// RngMode::kLegacyStream (the only mode that existed when they were
-  /// written — bit-compat trumps the configured mode); v3 files load
-  /// with the fabric's accounting restarted from zero (their layout
-  /// never carried it); v2 files load with the fabric reset to its
-  /// freshly-seeded state; v1 files (weights + round only) also load,
-  /// with the cached weights falling back to the global weights and the
-  /// detector reference reset. Throws fedcav::Error on malformed files
-  /// or size/client-count mismatch; the server state is unspecified
-  /// after a throw partway through a payload.
+  /// Serialize the full resumable server state to `path`: a magic, then
+  /// a section table of (tag, length, CRC-32) and the sections — server
+  /// (round counter, global + cached reverse-target weights, detector
+  /// reference, RngMode), sampler (RNG stream, round-robin cursor,
+  /// per-client loss memory), straggler RNG, one per client (batch RNG,
+  /// FedCurv anchors, quantization error-feedback residual) and, when
+  /// the server owns an InMemoryNetwork, the fabric (fault-RNG streams,
+  /// in-flight messages, traffic/fault accounting). A run resumed from
+  /// the file is bit-identical to one that never stopped. The file is
+  /// replaced atomically through `path + ".tmp"`, so a failed or
+  /// interrupted save leaves the previous checkpoint intact. Throws in
+  /// remote mode (set_transport with remote = true), where the client
+  /// state lives in the workers.
+  void save_checkpoint(const std::string& path) const;
+  /// Restore state from save_checkpoint output, in two steps. Staging
+  /// checks the magic, the exact section sequence for this server's
+  /// client count and fabric, every length and every CRC, then parses
+  /// each section into a value the server does not own yet; commit then
+  /// installs them with moves and swaps, which cannot fail. The retired
+  /// v1–v6 formats are rejected with an error naming them. Throws
+  /// fedcav::Error on a malformed, damaged or mismatched file, and the
+  /// server is then left exactly as it was. The run's RngMode comes from
+  /// the file, not from the configured one (see config()).
   void load_checkpoint(const std::string& path);
 
   /// Flush collected telemetry: a chrome://tracing JSON to `trace_path`

@@ -1,10 +1,10 @@
 // Checkpoint resume semantics: a run restored into a *fresh* server
 // must continue bit-identically to one that never stopped — including
 // sampler streams, straggler draws, per-client shuffle RNGs, the cached
-// reverse-target weights, and the detector reference. v3 adds the comm
-// fabric's fault-RNG streams and in-flight messages, so that holds for
-// chaos runs too. Also covers the v1/v2 compatibility paths and
-// malformed-file rejection.
+// reverse-target weights, the detector reference, and the comm fabric's
+// fault-RNG streams and in-flight messages. Also covers the staged load:
+// a damaged, truncated, mismatched or retired-format file is rejected
+// and leaves the target server exactly as it was.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,6 +20,7 @@
 #include "src/tensor/serialize.hpp"
 #include "src/utils/error.hpp"
 #include "src/utils/logging.hpp"
+#include "property.hpp"
 
 namespace fedcav {
 namespace {
@@ -37,7 +38,44 @@ fl::SimulationConfig small_config() {
   return config;
 }
 
-std::string temp_path(const std::string& name) { return ::testing::TempDir() + name; }
+// Names carry the process id so suites of two build trees running at the
+// same time never overwrite each other's files.
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+}
+
+ByteBuffer read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  ByteBuffer bytes(static_cast<std::size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+  return bytes;
+}
+
+void write_file(const std::string& path, const ByteBuffer& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A run in which every checkpoint section is non-trivial: loss-biased
+/// sampling (sampler loss memory), stragglers (straggler RNG), an int8
+/// top-k wire (per-client error-feedback residuals) and a faulty fabric
+/// (link RNGs, accounting, stale duplicates in flight).
+fl::SimulationConfig every_section_config() {
+  fl::SimulationConfig config = small_config();
+  config.server.sampler = fl::SamplerPolicy::kLossBiased;
+  config.server.straggler_drop_prob = 0.2;
+  config.server.quant = comm::QuantMode::kInt8;
+  config.server.quant_keep = 0.5;
+  comm::FaultPlan& faults = config.server.network.faults;
+  faults.seed = 31;
+  faults.drop_prob = 0.2;
+  faults.duplicate_prob = 0.2;
+  faults.corrupt_prob = 0.1;
+  config.server.max_retries = 2;
+  return config;
+}
 
 /// Everything in a RoundRecord except wall-clock timings must match
 /// exactly between an uninterrupted run and a resumed one.
@@ -94,8 +132,8 @@ TEST(CheckpointResume, DetectorReversesFromRestoredCache) {
   set_log_level(LogLevel::kError);
   // A replacement attack at round 3 drives round 4's inference losses
   // past the detector's reference, so round 4 reverses onto the cached
-  // weights — state that only survives a save/load through the v2
-  // format (a v1 resume would improvise both and diverge).
+  // weights — state that only survives a save/load because the server
+  // section carries both (a resume that improvised them would diverge).
   fl::SimulationConfig config = small_config();
   config.server.detection_enabled = true;
   config.attack = "replacement";
@@ -129,9 +167,9 @@ TEST(CheckpointResume, DetectorReversesFromRestoredCache) {
 
 TEST(CheckpointResume, FaultedRunResumesBitIdentically) {
   set_log_level(LogLevel::kError);
-  // The hard case for v3: an active fault plan means the resumed run
-  // must replay the exact same per-link fault draws AND see the same
-  // stale duplicates still sitting in the fabric's queues.
+  // The hard case for the fabric section: an active fault plan means
+  // the resumed run must replay the exact same per-link fault draws AND
+  // see the same stale duplicates still sitting in the fabric's queues.
   fl::SimulationConfig config = small_config();
   comm::FaultPlan& faults = config.server.network.faults;
   faults.seed = 31;
@@ -160,7 +198,7 @@ TEST(CheckpointResume, FaultedRunResumesBitIdentically) {
                              resumed.server->history()[i]);
   }
   // Fabric accounting survives the checkpoint boundary: the resumed
-  // fabric's books still balance. (The v3 format dropped the counters,
+  // fabric's books still balance. (The old v3 format dropped the counters,
   // so a resumed run restarted them at zero while the queues carried
   // in-flight duplicates, and this conservation sum broke.)
   const comm::InMemoryNetwork& net = *resumed.server->network();
@@ -174,7 +212,7 @@ TEST(CheckpointResume, FaultedRunResumesBitIdentically) {
 
 TEST(CheckpointResume, QuantizedRunWithPendingResidualResumesBitIdentically) {
   set_log_level(LogLevel::kError);
-  // The v5 payload under test: after two int8 + top-k rounds every
+  // The residual under test: after two int8 + top-k rounds every
   // participant holds a nonzero error-feedback residual, and the next
   // round's uplink delta depends on it. A resume that dropped the
   // residual would code different deltas and diverge immediately.
@@ -188,7 +226,7 @@ TEST(CheckpointResume, QuantizedRunWithPendingResidualResumesBitIdentically) {
   fl::Simulation first_half = fl::build_simulation(config);
   first_half.server->run(2);
   const std::string path = temp_path("fedcav_quant_ckpt.bin");
-  first_half.server->save_checkpoint(path);  // v5 by default
+  first_half.server->save_checkpoint(path);
 
   fl::Simulation resumed = fl::build_simulation(config);
   resumed.server->load_checkpoint(path);
@@ -202,51 +240,12 @@ TEST(CheckpointResume, QuantizedRunWithPendingResidualResumesBitIdentically) {
                              resumed.server->history()[i]);
   }
 
-  // Prior formats still round-trip for the same run — a v4 file simply
-  // never carried the residual, so it loads with the residuals cleared
-  // (resumable, not bit-identical).
-  const std::string v4_path = temp_path("fedcav_quant_v4_ckpt.bin");
-  first_half.server->save_checkpoint(v4_path, /*version=*/4);
-  fl::Simulation legacy = fl::build_simulation(config);
-  legacy.server->load_checkpoint(v4_path);
-  EXPECT_EQ(legacy.server->current_round(), 2u);
-  legacy.server->run_round();  // must run cleanly from the cleared state
   std::remove(path.c_str());
-  std::remove(v4_path.c_str());
-}
-
-TEST(CheckpointResume, WritesLoadableV2Files) {
-  set_log_level(LogLevel::kError);
-  // The legacy fabric-free format is still writable (version = 2) and
-  // loadable; on a fault-free fabric the resume stays bit-identical
-  // because a fresh fabric and a quiescent one behave the same.
-  fl::SimulationConfig config = small_config();
-  fl::Simulation continuous = fl::build_simulation(config);
-  continuous.server->run(3);
-
-  fl::Simulation first_half = fl::build_simulation(config);
-  first_half.server->run(1);
-  const std::string path = temp_path("fedcav_v2_ckpt.bin");
-  first_half.server->save_checkpoint(path, /*version=*/2);
-
-  fl::Simulation resumed = fl::build_simulation(config);
-  resumed.server->load_checkpoint(path);
-  EXPECT_EQ(resumed.server->current_round(), 1u);
-  resumed.server->run(2);
-  EXPECT_EQ(resumed.server->global_weights(), continuous.server->global_weights());
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointResume, RejectsUnsupportedSaveVersion) {
-  set_log_level(LogLevel::kError);
-  fl::Simulation sim = fl::build_simulation(small_config());
-  EXPECT_THROW(sim.server->save_checkpoint(temp_path("never_written.bin"), 1), Error);
-  EXPECT_THROW(sim.server->save_checkpoint(temp_path("never_written.bin"), 7), Error);
 }
 
 TEST(CheckpointResume, V6RoundTripsDerivedSeedMode) {
   set_log_level(LogLevel::kError);
-  // The v6 payload carries the RNG mode: a derived-seed run restored
+  // The server section carries the RNG mode: a derived-seed run restored
   // into a fresh (legacy-default) server must come back in derived mode,
   // or the resumed half would re-derive nothing and diverge.
   fl::SimulationConfig config = small_config();
@@ -255,7 +254,7 @@ TEST(CheckpointResume, V6RoundTripsDerivedSeedMode) {
   fl::Simulation sim = fl::build_simulation(config);
   sim.server->run(2);
   const std::string path = temp_path("fedcav_v6_mode_ckpt.bin");
-  sim.server->save_checkpoint(path);  // default version = 6
+  sim.server->save_checkpoint(path);
 
   fl::SimulationConfig legacy_config = small_config();
   legacy_config.server.straggler_drop_prob = 0.2;
@@ -273,52 +272,75 @@ TEST(CheckpointResume, V6RoundTripsDerivedSeedMode) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointResume, PreV6FilesLoadInLegacyStreamMode) {
-  set_log_level(LogLevel::kError);
-  // A v5 file has no RNG-mode byte; loading one must force legacy-stream
-  // mode even into a server configured for derived seeds — the old file
-  // recorded advancing streams, not per-round derivation.
-  fl::SimulationConfig config = small_config();
-  fl::Simulation sim = fl::build_simulation(config);
-  sim.server->run(1);
-  const std::string path = temp_path("fedcav_v5_mode_ckpt.bin");
-  sim.server->save_checkpoint(path, /*version=*/5);
-
-  fl::SimulationConfig derived_config = small_config();
-  derived_config.server.rng_mode = RngMode::kDerived;
-  fl::Simulation resumed = fl::build_simulation(derived_config);
-  resumed.server->load_checkpoint(path);
-  EXPECT_EQ(resumed.server->config().rng_mode, RngMode::kLegacyStream);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointResume, LoadsLegacyV1Files) {
+TEST(CheckpointResume, RejectsOlderFormats) {
   set_log_level(LogLevel::kError);
   fl::SimulationConfig config = small_config();
   fl::Simulation sim = fl::build_simulation(config);
   sim.server->run(1);
   const nn::Weights weights = sim.server->global_weights();
 
-  // Hand-written v1 payload: magic, round, weights — nothing else.
-  ByteBuffer buf;
-  write_u64(buf, 0xfedca5c4ec9017ULL);
-  write_u64(buf, 7);
-  write_f32_span(buf, weights);
-  const std::string path = temp_path("fedcav_v1_ckpt.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(buf.data()),
-              static_cast<std::streamsize>(buf.size()));
+  // Hand-written heads of the retired formats: magic 0xfedca5c4ec9016 + v,
+  // then the round and the weights both began with.
+  for (const std::uint64_t version : {1, 6}) {
+    ByteBuffer buf;
+    write_u64(buf, 0xfedca5c4ec9016ULL + version);
+    write_u64(buf, 7);
+    write_f32_span(buf, weights);
+    const std::string path = temp_path("fedcav_retired_ckpt.bin");
+    write_file(path, buf);
+    fl::Simulation fresh = fl::build_simulation(config);
+    try {
+      fresh.server->load_checkpoint(path);
+      ADD_FAILURE() << "a v" << version << " checkpoint loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("format v" + std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(fresh.server->current_round(), 0u);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CheckpointResume, DamagedLastSectionLeavesServerUntouched) {
+  set_log_level(LogLevel::kError);
+  const fl::SimulationConfig config = every_section_config();
+  fl::Simulation source = fl::build_simulation(config);
+  source.server->run(3);
+  const std::string path = temp_path("fedcav_damaged_source_ckpt.bin");
+  source.server->save_checkpoint(path);
+  const ByteBuffer valid = read_file(path);
+
+  // The target has state of its own to lose; the twin never sees a load.
+  fl::Simulation target = fl::build_simulation(config);
+  fl::Simulation twin = fl::build_simulation(config);
+  target.server->run(1);
+  twin.server->run(1);
+  const std::string state_path = temp_path("fedcav_damaged_target_ckpt.bin");
+  target.server->save_checkpoint(state_path);
+  const ByteBuffer before = read_file(state_path);
+
+  // The fabric section ends the file, and its link RNG states and
+  // accounting alone are far longer than the 12 bytes these reach back.
+  ByteBuffer truncated(valid.begin(), valid.end() - 3);
+  ByteBuffer flipped = valid;
+  flipped[flipped.size() - 12] ^= 0x10;
+  const std::string damaged_path = temp_path("fedcav_damaged_ckpt.bin");
+  for (const ByteBuffer* damaged : {&truncated, &flipped}) {
+    write_file(damaged_path, *damaged);
+    EXPECT_THROW(target.server->load_checkpoint(damaged_path), Error);
+    target.server->save_checkpoint(state_path);
+    EXPECT_EQ(read_file(state_path), before) << "a failed load changed the server";
   }
 
-  fl::Simulation fresh = fl::build_simulation(config);
-  fresh.server->load_checkpoint(path);
-  EXPECT_EQ(fresh.server->current_round(), 7u);
-  EXPECT_EQ(fresh.server->global_weights(), weights);
-  EXPECT_FALSE(fresh.server->detector().has_reference());
-  fresh.server->run_round();  // resumable, just not bit-identical
-  EXPECT_EQ(fresh.server->current_round(), 8u);
-  std::remove(path.c_str());
+  target.server->run(2);
+  twin.server->run(2);
+  EXPECT_EQ(target.server->global_weights(), twin.server->global_weights());
+  ASSERT_EQ(target.server->history().rounds(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    expect_records_identical(twin.server->history()[i], target.server->history()[i]);
+  }
+  for (const std::string& p : {path, state_path, damaged_path}) std::remove(p.c_str());
 }
 
 TEST(CheckpointResume, RejectsClientCountMismatch) {
@@ -385,6 +407,38 @@ TEST(CheckpointResume, FailedSaveKeepsPreviousCheckpoint) {
   EXPECT_EQ(resumed.server->current_round(), 2u);
   EXPECT_EQ(resumed.server->global_weights(), saved);
   std::remove(path.c_str());
+}
+
+TEST(PropertyCheckpoint, MutatedFilesAreRejectedAndLeaveServerUntouched) {
+  set_log_level(LogLevel::kError);
+  const fl::SimulationConfig config = every_section_config();
+  fl::Simulation source = fl::build_simulation(config);
+  source.server->run(2);
+  const std::string path = temp_path("fedcav_fuzz_source_ckpt.bin");
+  source.server->save_checkpoint(path);
+  const ByteBuffer valid = read_file(path);
+
+  fl::Simulation target = fl::build_simulation(config);
+  target.server->run(1);
+  const std::string state_path = temp_path("fedcav_fuzz_target_ckpt.bin");
+  target.server->save_checkpoint(state_path);
+  const ByteBuffer before = read_file(state_path);
+
+  const std::string mutated_path = temp_path("fedcav_fuzz_mutated_ckpt.bin");
+  FEDCAV_PROPERTY("checkpoint truncation / bit flip rejected", 200, [&](Rng& rng) {
+    ByteBuffer mutated = valid;
+    if (rng.bernoulli(0.5)) {
+      mutated.resize(static_cast<std::size_t>(rng.uniform_int(valid.size())));
+    } else {
+      const std::uint64_t bit = rng.uniform_int(valid.size() * 8);
+      mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    write_file(mutated_path, mutated);
+    EXPECT_THROW(target.server->load_checkpoint(mutated_path), Error);
+    target.server->save_checkpoint(state_path);
+    EXPECT_EQ(read_file(state_path), before) << "a failed load changed the server";
+  });
+  for (const std::string& p : {path, state_path, mutated_path}) std::remove(p.c_str());
 }
 
 }  // namespace

@@ -462,6 +462,24 @@ NetworkConfig faulty_config(FaultPlan plan, std::size_t endpoints = 2) {
   return config;
 }
 
+TEST(Network, ClientToClientLinksDoNotExist) {
+  // The fabric is a star around rank 0: there is no client↔client link
+  // to send on, delay or meter — with or without a fault plan.
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.drop_prob = 0.5;
+  for (const NetworkConfig& config :
+       {NetworkConfig{.num_endpoints = 3}, faulty_config(plan, 3)}) {
+    InMemoryNetwork net(config);
+    EXPECT_THROW(net.send(1, 2, tiny_envelope()), Error);
+    EXPECT_THROW(net.send(2, 1, tiny_envelope()), Error);
+    EXPECT_THROW(net.add_link_delay(2, 1, 0.5), Error);
+    EXPECT_EQ(net.pending_messages(), 0u);
+    EXPECT_EQ(net.total_stats().messages_sent, 0u);
+    EXPECT_EQ(net.total_stats().simulated_seconds, 0.0);
+  }
+}
+
 void expect_conservation(const InMemoryNetwork& net) {
   const FaultStats f = net.fault_stats();
   EXPECT_EQ(net.total_stats().messages_sent + f.duplicated,

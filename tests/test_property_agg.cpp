@@ -8,8 +8,8 @@
 //   * top-k compression round-trips, ties break deterministically to
 //     the lowest index, and add_sparse matches dense reconstruction;
 //   * InMemoryNetwork::save_state/load_state round-trips in-flight
-//     traffic AND the traffic/fault accounting (the checkpoint-v4
-//     regression surface).
+//     traffic AND the traffic/fault accounting (what a checkpoint's
+//     fabric section must carry).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -177,9 +177,12 @@ TEST(PropertyAgg, NetworkStateRoundTripPreservesTrafficAndFaultAccounting) {
     // nonzero counters both survive into the snapshot.
     const std::size_t sends = 1 + static_cast<std::size_t>(rng.uniform_int(std::uint64_t{20}));
     for (std::size_t i = 0; i < sends; ++i) {
-      const auto src = static_cast<std::size_t>(rng.uniform_int(config.num_endpoints));
-      auto dst = static_cast<std::size_t>(rng.uniform_int(config.num_endpoints));
-      if (dst == src) dst = (dst + 1) % config.num_endpoints;
+      // A server↔client link, either direction (the fabric is a star).
+      const auto client =
+          1 + static_cast<std::size_t>(rng.uniform_int(config.num_endpoints - 1));
+      const bool uplink = rng.bernoulli(0.5);
+      const std::size_t src = uplink ? client : 0;
+      const std::size_t dst = uplink ? 0 : client;
       comm::Envelope env;
       env.type = comm::MessageType::kControl;
       env.payload = proptest::gen_bytes(rng, 32);

@@ -24,6 +24,7 @@
 #include "src/comm/socket_transport.hpp"
 #include "src/comm/tcp_transport.hpp"
 #include "src/utils/error.hpp"
+#include "src/utils/timer.hpp"
 #include "tests/property.hpp"
 
 namespace fedcav::comm {
@@ -289,17 +290,23 @@ TEST(SocketTransport, RejectsUnavailableRank) {
   EXPECT_EQ(ok->local_rank(), 1u);
 }
 
-/// Raw-socket HELLO exchange: send `hello` bytes, return the ACCEPT.
-AcceptMsg raw_handshake(const std::string& path, const ByteBuffer& hello) {
+/// Raw Unix-socket connection to the daemon at `path`, retried until the
+/// daemon binds (the serve side starts concurrently).
+int raw_connect(const std::string& path) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  // Retry until the daemon binds (the serve side starts concurrently).
   while (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     usleep(10000);
   }
+  return fd;
+}
+
+/// Raw-socket HELLO exchange: send `hello` bytes, return the ACCEPT.
+AcceptMsg raw_handshake(const std::string& path, const ByteBuffer& hello) {
+  const int fd = raw_connect(path);
   EXPECT_EQ(write_all(fd, hello.data(), hello.size()), IoStatus::kOk);
   ByteBuffer reply(kAcceptBytes);
   EXPECT_EQ(read_exact(fd, reply.data(), reply.size(), 10.0), IoStatus::kOk);
@@ -339,6 +346,27 @@ TEST(SocketTransport, RejectsGarbageHelloAsMalformed) {
   workers.join();
   EXPECT_EQ(rejected.status, HandshakeStatus::kMalformedHello);
   EXPECT_EQ(ok->local_rank(), 1u);
+}
+
+TEST(SocketTransport, SilentConnectionDoesNotStallLaterJoins) {
+  // Accepts are serial: a connection that never sends its HELLO must
+  // cost at most kHelloReadTimeoutS, not the whole accept budget.
+  const std::string path = temp_socket_path("fed.sock");
+  int silent = -1;
+  std::unique_ptr<SocketTransport> ok;
+  std::thread workers([&] {
+    silent = raw_connect(path);  // connects first, then says nothing
+    ok = SocketTransport::connect(path, kAnyRank, {});
+  });
+  const SocketTransportConfig config;  // accept_timeout_s = 30 s
+  Stopwatch watch;
+  auto daemon = SocketTransport::serve(path, 1, config);
+  const double joined_after_s = watch.seconds();
+  workers.join();
+  ::close(silent);
+  EXPECT_EQ(ok->local_rank(), 1u);
+  EXPECT_LT(joined_after_s, kHelloReadTimeoutS + 5.0);
+  EXPECT_LT(joined_after_s, config.accept_timeout_s / 2);
 }
 
 TEST(SocketTransport, EnvelopeRoundTripBothDirections) {
